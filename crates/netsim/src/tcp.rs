@@ -14,6 +14,9 @@
 //! on loss; loss events come from random (link) loss plus congestion loss
 //! when aggregate demand overruns the bottleneck. Receive windows cap the
 //! aggregate at the device's buffer limit.
+//!
+//! The loss draw (one uniform per flow per round, in flow order) is part
+//! of the generated-data format; DESIGN.md §10 states its contract.
 
 use crate::units::Mbps;
 use rand::Rng;
@@ -150,6 +153,34 @@ struct FlowState {
     t_since_loss: f64,
 }
 
+/// Absolute and relative margin of the loss draw's shortcut bounds. 2⁻⁴⁰
+/// is about 8000 ULPs of 1.0, while libm's `pow` and `log` round to within
+/// one ULP and the arithmetic around them adds a few more.
+const DRAW_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// A uniform below this is a loss whatever the flow sent, because
+/// `p_loss = p_cong + p_rand·(1 − p_cong) ≥ p_cong`.
+#[inline]
+fn surely_lost_below(p_cong: f64) -> f64 {
+    p_cong * (1.0 - DRAW_MARGIN) - DRAW_MARGIN
+}
+
+/// A uniform at or above this is no loss, because `p_loss ≤ p_rand + p_cong`
+/// and `p_rand = 1 − keep^sent ≤ sent·λ`. `sent_lambda` is `sent·λ` up to a
+/// few ULPs, with `λ` from [`loss_lambda`].
+#[inline]
+fn surely_kept_from(sent_lambda: f64, p_cong: f64) -> f64 {
+    (sent_lambda * (1.0 + DRAW_MARGIN) + p_cong) * (1.0 + DRAW_MARGIN) + DRAW_MARGIN
+}
+
+/// `λ = −ln keep`, the random loss per packet sent as a rate. It is taken
+/// of the rounded `keep = 1 − loss` that the exact path raises to `sent`,
+/// not as `−ln_1p(−loss)`: for tiny losses the two differ by far more than
+/// the margin, and the smaller one can undercut `p_rand`.
+fn loss_lambda(loss_rate: f64) -> f64 {
+    -(1.0 - loss_rate).ln()
+}
+
 /// CUBIC constants per RFC 8312.
 const CUBIC_C: f64 = 0.4;
 const CUBIC_BETA: f64 = 0.7;
@@ -181,7 +212,7 @@ impl TcpSimulator {
     /// `mean_steady` (Ookla-style); `mean_all` always covers the full
     /// duration (NDT-style).
     pub fn run<R: Rng + ?Sized>(&self, ramp_discard_s: f64, rng: &mut R) -> ThroughputSample {
-        self.run_inner(ramp_discard_s, rng, None).0
+        self.run_inner(ramp_discard_s, rng, None)
     }
 
     /// Like [`TcpSimulator::run`], additionally returning the per-round
@@ -192,7 +223,7 @@ impl TcpSimulator {
         rng: &mut R,
     ) -> (ThroughputSample, Vec<TracePoint>) {
         let mut trace = Vec::new();
-        let sample = self.run_inner(ramp_discard_s, rng, Some(&mut trace)).0;
+        let sample = self.run_inner(ramp_discard_s, rng, Some(&mut trace));
         (sample, trace)
     }
 
@@ -201,8 +232,12 @@ impl TcpSimulator {
         ramp_discard_s: f64,
         rng: &mut R,
         mut trace: Option<&mut Vec<TracePoint>>,
-    ) -> (ThroughputSample, ()) {
+    ) -> ThroughputSample {
         let cfg = &self.cfg;
+        debug_assert!(
+            (0.0..1.0).contains(&cfg.loss_rate) && cfg.initial_cwnd_pkts >= 0.0,
+            "the loss draw's bounds need a loss probability and a non-negative window"
+        );
         let mss = cfg.mss_bytes as f64;
         let rounds = (cfg.duration_s / cfg.rtt_s).ceil() as usize;
         let ramp_discard_s = ramp_discard_s.clamp(0.0, cfg.duration_s * 0.8);
@@ -212,6 +247,7 @@ impl TcpSimulator {
         let cap_pkts_round = cfg.bottleneck.packets_per_sec(cfg.mss_bytes) * cfg.rtt_s;
         // Per-flow receive-window cap, packets.
         let rwnd_pkts = (cfg.rwnd_total_bytes / cfg.n_flows as f64 / mss).max(1.0);
+        let lambda = loss_lambda(cfg.loss_rate);
 
         let mut flows: Vec<FlowState> = (0..cfg.n_flows)
             .map(|_| FlowState {
@@ -254,17 +290,29 @@ impl TcpSimulator {
             let buffered_cap = cap_pkts_round * (1.0 + cfg.buffer_bdp);
             let overshoot =
                 if demand > buffered_cap { (demand - buffered_cap) / demand } else { 0.0 };
+            let p_cong = (overshoot * 1.5).min(1.0);
+            let lost_below = surely_lost_below(p_cong);
+            let share_lambda = delivered / demand.max(1e-12) * lambda;
 
             for f in flows.iter_mut() {
-                // Probability at least one of this flow's packets was lost:
-                // random loss over its delivered share, plus congestion loss
-                // proportional to the round's overshoot.
-                let sent = f.cwnd * delivered / demand.max(1e-12);
-                let p_rand = 1.0 - (1.0 - cfg.loss_rate).powf(sent.max(0.0));
-                let p_cong = (overshoot * 1.5).min(1.0);
-                let p_loss = (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0);
+                // The flow is lost if `u < p_loss`. The bounds decide almost
+                // every draw without `powf`, and never differently from it.
+                let u = rng.gen::<f64>();
+                let lost = if u < lost_below {
+                    true
+                } else if u >= surely_kept_from(f.cwnd * share_lambda, p_cong) {
+                    false
+                } else {
+                    // Probability at least one of this flow's packets was
+                    // lost: random loss over its delivered share, plus
+                    // congestion loss proportional to the round's overshoot.
+                    let sent = f.cwnd * delivered / demand.max(1e-12);
+                    let p_rand = 1.0 - (1.0 - cfg.loss_rate).powf(sent.max(0.0));
+                    let p_loss = (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0);
+                    u < p_loss
+                };
 
-                if rng.gen::<f64>() < p_loss {
+                if lost {
                     loss_events += 1;
                     match cfg.congestion_control {
                         CongestionControl::Reno => {
@@ -307,17 +355,14 @@ impl TcpSimulator {
             }
         };
 
-        (
-            ThroughputSample {
-                mean_all: to_mbps(total_pkts, total_time),
-                mean_steady: to_mbps(steady_pkts, steady_time),
-                ramp_discard_s,
-                loss_events,
-                rounds,
-                loaded_rtt_s: cfg.rtt_s + queue_delay_acc / rounds.max(1) as f64,
-            },
-            (),
-        )
+        ThroughputSample {
+            mean_all: to_mbps(total_pkts, total_time),
+            mean_steady: to_mbps(steady_pkts, steady_time),
+            ramp_discard_s,
+            loss_events,
+            rounds,
+            loaded_rtt_s: cfg.rtt_s + queue_delay_acc / rounds.max(1) as f64,
+        }
     }
 }
 
@@ -333,7 +378,7 @@ pub fn mathis_ceiling(mss_bytes: usize, rtt_s: f64, loss_rate: f64) -> Mbps {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -614,6 +659,249 @@ mod tests {
             assert!(s.mean_all.0 <= 300.0 + 1e-9);
             let window_cap = 256.0 * 1024.0 * 8.0 / 0.02 / 1e6;
             assert!(s.mean_steady.0 <= window_cap * 1.05 + 0.5);
+        }
+    }
+
+    /// `run_inner` before the loss draw had bounds: `powf` on every
+    /// flow-round. Verbatim but for taking the config as an argument and
+    /// returning the sample alone.
+    fn reference_run<R: Rng + ?Sized>(
+        cfg: &FlowConfig,
+        ramp_discard_s: f64,
+        rng: &mut R,
+        mut trace: Option<&mut Vec<TracePoint>>,
+    ) -> ThroughputSample {
+        let mss = cfg.mss_bytes as f64;
+        let rounds = (cfg.duration_s / cfg.rtt_s).ceil() as usize;
+        let ramp_discard_s = ramp_discard_s.clamp(0.0, cfg.duration_s * 0.8);
+        let discard_rounds = (ramp_discard_s / cfg.rtt_s).floor() as usize;
+
+        // Bottleneck capacity per round, in packets.
+        let cap_pkts_round = cfg.bottleneck.packets_per_sec(cfg.mss_bytes) * cfg.rtt_s;
+        // Per-flow receive-window cap, packets.
+        let rwnd_pkts = (cfg.rwnd_total_bytes / cfg.n_flows as f64 / mss).max(1.0);
+
+        let mut flows: Vec<FlowState> = (0..cfg.n_flows)
+            .map(|_| FlowState {
+                cwnd: cfg.initial_cwnd_pkts.min(rwnd_pkts),
+                ssthresh: rwnd_pkts,
+                slow_start: true,
+                w_max: rwnd_pkts,
+                t_since_loss: 0.0,
+            })
+            .collect();
+
+        let mut total_pkts = 0.0f64;
+        let mut steady_pkts = 0.0f64;
+        let mut loss_events = 0u64;
+        let mut queue_delay_acc = 0.0f64;
+
+        for round in 0..rounds {
+            let demand: f64 = flows.iter().map(|f| f.cwnd).sum();
+            let delivered = demand.min(cap_pkts_round);
+            total_pkts += delivered;
+            if round >= discard_rounds {
+                steady_pkts += delivered;
+            }
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.push(TracePoint {
+                    t_s: round as f64 * cfg.rtt_s,
+                    cwnd_pkts: demand,
+                    rate: Mbps::from_bytes_per_sec(delivered * mss / cfg.rtt_s),
+                });
+            }
+
+            // Standing queue this round: packets beyond the pipe, capped by
+            // the buffer. Draining them takes queue/cap_rate seconds — the
+            // queueing delay every packet in the round experiences.
+            let queue_pkts = (demand - cap_pkts_round).clamp(0.0, cap_pkts_round * cfg.buffer_bdp);
+            queue_delay_acc += queue_pkts / cap_pkts_round * cfg.rtt_s;
+
+            // Congestion loss pressure: load beyond what capacity plus the
+            // bottleneck buffer can absorb this round.
+            let buffered_cap = cap_pkts_round * (1.0 + cfg.buffer_bdp);
+            let overshoot =
+                if demand > buffered_cap { (demand - buffered_cap) / demand } else { 0.0 };
+
+            for f in flows.iter_mut() {
+                // Probability at least one of this flow's packets was lost:
+                // random loss over its delivered share, plus congestion loss
+                // proportional to the round's overshoot.
+                let sent = f.cwnd * delivered / demand.max(1e-12);
+                let p_rand = 1.0 - (1.0 - cfg.loss_rate).powf(sent.max(0.0));
+                let p_cong = (overshoot * 1.5).min(1.0);
+                let p_loss = (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0);
+
+                if rng.gen::<f64>() < p_loss {
+                    loss_events += 1;
+                    match cfg.congestion_control {
+                        CongestionControl::Reno => {
+                            f.ssthresh = (f.cwnd / 2.0).max(2.0);
+                            f.cwnd = f.ssthresh;
+                        }
+                        CongestionControl::Cubic => {
+                            f.w_max = f.cwnd;
+                            f.t_since_loss = 0.0;
+                            f.cwnd = (f.cwnd * CUBIC_BETA).max(2.0);
+                            f.ssthresh = f.cwnd;
+                        }
+                    }
+                    f.slow_start = false;
+                } else if f.slow_start {
+                    f.cwnd = (f.cwnd * 2.0).min(rwnd_pkts);
+                    if f.cwnd >= f.ssthresh {
+                        f.slow_start = false;
+                    }
+                } else {
+                    f.t_since_loss += cfg.rtt_s;
+                    f.cwnd = match cfg.congestion_control {
+                        CongestionControl::Reno => (f.cwnd + 1.0).min(rwnd_pkts),
+                        CongestionControl::Cubic => cubic_window(f.w_max, f.t_since_loss)
+                            .max(cubic_tcp_friendly(f.w_max, f.t_since_loss, cfg.rtt_s))
+                            .max(f.cwnd) // never shrink without loss
+                            .min(rwnd_pkts),
+                    };
+                }
+            }
+        }
+
+        let total_time = rounds as f64 * cfg.rtt_s;
+        let steady_time = (rounds - discard_rounds) as f64 * cfg.rtt_s;
+        let to_mbps = |pkts: f64, secs: f64| {
+            if secs <= 0.0 {
+                Mbps::ZERO
+            } else {
+                Mbps::from_bytes_per_sec(pkts * mss / secs)
+            }
+        };
+
+        ThroughputSample {
+            mean_all: to_mbps(total_pkts, total_time),
+            mean_steady: to_mbps(steady_pkts, steady_time),
+            ramp_discard_s,
+            loss_events,
+            rounds,
+            loaded_rtt_s: cfg.rtt_s + queue_delay_acc / rounds.max(1) as f64,
+        }
+    }
+
+    fn log_uniform(r: &mut StdRng, lo: f64, hi: f64) -> f64 {
+        (lo.ln() + r.gen::<f64>() * (hi / lo).ln()).exp()
+    }
+
+    /// A loss rate from one of three regimes: none, light to moderate
+    /// (log-uniform 1e-7 to 0.1), or heavy (0.1 to 0.99).
+    fn random_loss(r: &mut StdRng) -> f64 {
+        match r.gen_range(0..3) {
+            0 => 0.0,
+            1 => log_uniform(r, 1e-7, 1e-1),
+            _ => r.gen_range(0.1..0.99),
+        }
+    }
+
+    /// A random transfer and ramp, over wide ranges of every parameter.
+    fn random_transfer(r: &mut StdRng) -> (FlowConfig, f64) {
+        let n_flows = r.gen_range(1..=10);
+        let duration_s = r.gen_range(0.5..15.0);
+        let rtt_s = r.gen_range(0.002..0.150);
+        let bottleneck = Mbps(log_uniform(r, 0.3, 2500.0));
+        let cc = if r.gen::<bool>() { CongestionControl::Reno } else { CongestionControl::Cubic };
+        let mut cfg = FlowConfig::new(n_flows, duration_s, rtt_s, bottleneck)
+            .with_loss(random_loss(r))
+            .with_rwnd_total(log_uniform(r, 10e3, 80e6))
+            .with_congestion_control(cc);
+        cfg.buffer_bdp = r.gen_range(0.0..3.0);
+        cfg.initial_cwnd_pkts = r.gen_range(1.0..40.0);
+        (cfg, r.gen_range(0.0..5.0))
+    }
+
+    fn sample_bits(s: &ThroughputSample) -> [u64; 6] {
+        let ThroughputSample {
+            mean_all,
+            mean_steady,
+            ramp_discard_s,
+            loss_events,
+            rounds,
+            loaded_rtt_s,
+        } = s;
+        [
+            mean_all.0.to_bits(),
+            mean_steady.0.to_bits(),
+            ramp_discard_s.to_bits(),
+            *loss_events,
+            *rounds as u64,
+            loaded_rtt_s.to_bits(),
+        ]
+    }
+
+    fn trace_bits(trace: &[TracePoint]) -> Vec<[u64; 3]> {
+        trace.iter().map(|p| [p.t_s.to_bits(), p.cwnd_pkts.to_bits(), p.rate.0.to_bits()]).collect()
+    }
+
+    #[test]
+    fn bounded_draw_matches_the_powf_reference_bit_for_bit() {
+        let mut configs = rng(20220707);
+        for case in 0..20_000u64 {
+            let (cfg, ramp) = random_transfer(&mut configs);
+            let sim = TcpSimulator::new(cfg.clone());
+
+            let mut want_rng = rng(case);
+            let mut want_trace = Vec::new();
+            let want = reference_run(&cfg, ramp, &mut want_rng, Some(&mut want_trace));
+
+            let mut run_rng = rng(case);
+            let got = sim.run(ramp, &mut run_rng);
+            let mut traced_rng = rng(case);
+            let (traced, trace) = sim.run_traced(ramp, &mut traced_rng);
+
+            let ctx = || format!("case {case}: {cfg:?}, ramp {ramp}");
+            assert_eq!(sample_bits(&got), sample_bits(&want), "{}", ctx());
+            assert_eq!(sample_bits(&traced), sample_bits(&want), "{}", ctx());
+            assert_eq!(trace_bits(&trace), trace_bits(&want_trace), "{}", ctx());
+            // Same number of uniforms drawn: the streams stay in step.
+            let next = want_rng.next_u64();
+            assert_eq!(run_rng.next_u64(), next, "{}", ctx());
+            assert_eq!(traced_rng.next_u64(), next, "{}", ctx());
+        }
+    }
+
+    #[test]
+    fn draw_bounds_bracket_the_exact_loss_probability_with_margin() {
+        // The loop's own arithmetic, at random and at edge-case points;
+        // half the margin must survive every rounding on both sides. Tiny
+        // losses are where `keep = 1 − loss` rounds by the most relative
+        // to `loss`, so they also pin `λ` to the rounded `keep`.
+        let mut r = rng(41);
+        for _ in 0..200_000 {
+            let loss = if r.gen_range(0..4) == 0 {
+                log_uniform(&mut r, 1e-16, 1e-7)
+            } else {
+                random_loss(&mut r)
+            };
+            let lambda = loss_lambda(loss);
+            let demand = log_uniform(&mut r, 1.0, 1e6);
+            let cwnd = demand * r.gen::<f64>().max(1e-9);
+            let delivered = match r.gen_range(0..3) {
+                0 => demand,
+                _ => demand * r.gen::<f64>(),
+            };
+            let p_cong = match r.gen_range(0..4) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => log_uniform(&mut r, 1e-300, 1.0),
+                _ => r.gen::<f64>(),
+            };
+
+            let sent = cwnd * delivered / demand.max(1e-12);
+            let p_rand = 1.0 - (1.0 - loss).powf(sent.max(0.0));
+            let p_loss = (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0);
+
+            let lost_below = surely_lost_below(p_cong);
+            let kept_from =
+                surely_kept_from(cwnd * (delivered / demand.max(1e-12) * lambda), p_cong);
+            let case = || format!("loss {loss}, sent {sent}, p_cong {p_cong}: p_loss {p_loss}");
+            assert!(p_loss - lost_below >= DRAW_MARGIN / 2.0, "lower {lost_below}, {}", case());
+            assert!(kept_from - p_loss >= DRAW_MARGIN / 2.0, "upper {kept_from}, {}", case());
         }
     }
 }
