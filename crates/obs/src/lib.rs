@@ -522,6 +522,10 @@ struct Inner {
     /// version is read *before* the maps are cloned, so a write racing
     /// the build can only make the cache stale — never wrong.
     snap_cache: Mutex<(u64, Option<Arc<MetricsSnapshot>>)>,
+    /// Compact JSON of the snapshot `Arc` it was serialized from, last
+    /// built by `snapshot_json_shared`. Keyed on that `Arc`'s identity,
+    /// so the text can never be older than the snapshot cache.
+    json_cache: Mutex<Option<(Arc<MetricsSnapshot>, Arc<str>)>>,
 }
 
 impl Inner {
@@ -533,6 +537,7 @@ impl Inner {
             trace: Mutex::new(TraceBuf { events: Vec::new(), lanes: 1 }),
             version: AtomicU64::new(0),
             snap_cache: Mutex::new((0, None)),
+            json_cache: Mutex::new(None),
         }
     }
 
@@ -597,6 +602,13 @@ impl Registry {
     /// Add 1 to the counter `name{labels}`.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)]) {
         self.add(name, labels, 1);
+    }
+
+    /// The counter `name{labels}` (0 if never written, or disabled):
+    /// one lookup under the lock, with no snapshot built.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        let Some(inner) = &self.inner else { return 0 };
+        inner.det.lock().counters.get(&metric_key(name, labels)).copied().unwrap_or(0)
     }
 
     /// Set the gauge `name{labels}`. Keys are write-once by convention;
@@ -818,6 +830,28 @@ impl Registry {
         });
         *cache = (version, Some(Arc::clone(&snap)));
         snap
+    }
+
+    /// [`Registry::snapshot_shared`] as compact JSON, serialized once
+    /// per snapshot: while no metric changes, every call hands out the
+    /// same text. The cache is keyed on the identity of the snapshot
+    /// `Arc` this call gets, so the text is always exactly that
+    /// snapshot's `serde_json::to_string`.
+    pub fn snapshot_json_shared(&self) -> Arc<str> {
+        let snap = self.snapshot_shared();
+        let serialize = |s: &MetricsSnapshot| -> Arc<str> {
+            serde_json::to_string(s).expect("snapshot serializes").into()
+        };
+        let Some(inner) = &self.inner else { return serialize(&snap) };
+        let mut cache = inner.json_cache.lock();
+        if let Some((cached, json)) = &*cache {
+            if Arc::ptr_eq(cached, &snap) {
+                return Arc::clone(json);
+            }
+        }
+        let json = serialize(&snap);
+        *cache = Some((snap, Arc::clone(&json)));
+        json
     }
 }
 
@@ -1134,6 +1168,13 @@ mod tests {
         assert!(json.contains("\"wall_clock\""));
     }
 
+    /// The cached JSON is exactly the current snapshot's compact JSON.
+    fn assert_json_exact(reg: &Registry) -> Arc<str> {
+        let json = reg.snapshot_json_shared();
+        assert_eq!(&*json, serde_json::to_string(&*reg.snapshot_shared()).unwrap());
+        json
+    }
+
     #[test]
     fn snapshot_shared_reuses_the_arc_until_a_metric_changes() {
         let reg = Registry::new();
@@ -1142,13 +1183,17 @@ mod tests {
         let b = reg.snapshot_shared();
         assert!(Arc::ptr_eq(&a, &b), "idle registry must hand out the cached snapshot");
         assert_eq!(a.deterministic.counters["c"], 1);
+        let json = assert_json_exact(&reg);
+        assert!(Arc::ptr_eq(&json, &assert_json_exact(&reg)), "idle registry reuses the JSON");
 
-        // Every mutation class invalidates: counter, gauge, histogram,
-        // wall value, series, span stat, and merge.
+        // Every mutation class invalidates both caches: counter, gauge,
+        // histogram, wall value, series, span stat, and merge.
         reg.inc("c", &[]);
         let c = reg.snapshot_shared();
         assert!(!Arc::ptr_eq(&b, &c), "a counter write must invalidate the cache");
         assert_eq!(c.deterministic.counters["c"], 2);
+        let after = assert_json_exact(&reg);
+        assert!(*json != *after, "a counter write must change the JSON");
 
         for (i, mutate) in [
             (&|r: &Registry| r.set_gauge("g", &[], 4.0)) as &dyn Fn(&Registry),
@@ -1166,21 +1211,41 @@ mod tests {
         .enumerate()
         {
             let before = reg.snapshot_shared();
+            let json_before = assert_json_exact(&reg);
             mutate(&reg);
             let after = reg.snapshot_shared();
             assert!(!Arc::ptr_eq(&before, &after), "mutation #{i} must invalidate the cache");
+            let json_after = assert_json_exact(&reg);
+            assert!(*json_before != *json_after, "mutation #{i} must change the JSON");
+            assert!(Arc::ptr_eq(&json_after, &assert_json_exact(&reg)));
         }
         assert_eq!(reg.snapshot_shared().deterministic.counters["m"], 1);
 
         // Trace events never appear in a snapshot, so they must not
         // force a rebuild.
         let before = reg.snapshot_shared();
+        let json_before = reg.snapshot_json_shared();
         reg.event("e", "lifecycle", &[]);
         assert!(Arc::ptr_eq(&before, &reg.snapshot_shared()));
+        assert!(Arc::ptr_eq(&json_before, &assert_json_exact(&reg)));
 
         // Disabled registries hand out empty snapshots.
         let off = Registry::disabled();
         assert!(off.snapshot_shared().deterministic.counters.is_empty());
+        assert_json_exact(&off);
+    }
+
+    #[test]
+    fn counter_reads_one_key_without_writing() {
+        let reg = Registry::new();
+        reg.add("serve.epochs", &[], 3);
+        reg.add("rows", &[("outcome", "clean")], 7);
+        let v = reg.version();
+        assert_eq!(reg.counter("serve.epochs", &[]), 3);
+        assert_eq!(reg.counter("rows", &[("outcome", "clean")]), 7);
+        assert_eq!(reg.counter("rows", &[]), 0, "an unwritten key reads 0");
+        assert_eq!(reg.version(), v, "reading a counter is not a mutation");
+        assert_eq!(Registry::disabled().counter("serve.epochs", &[]), 0);
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! | `watch`      | *streaming*: one row now + one per epoch crossing  |
 //! | `shutdown`   | ack, then signals the server to stop accepting     |
 //!
+//! Every answer leaves as one write on a `TCP_NODELAY` socket, so a
+//! client that keeps its connection open never waits on its own
+//! delayed ACK. Queries are read-only: no verb writes to the metrics
+//! registry, so the registry's snapshot cache (and the `metrics` verb's
+//! cached JSON) survive from one request to the next while nothing
+//! changes.
+//!
 //! Malformed or unknown requests get a uniform structured error row:
 //! `{"ok": false, "kind": "error", "detail": "..."}` — still one JSON
 //! object per line, so clients never need a second parser for the
@@ -48,9 +55,6 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
-
-/// Per-request wall-clock histogram bounds, seconds.
-const QUERY_BOUNDS: &[f64] = &[0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1];
 
 /// How often a streaming watch wakes up to notice server shutdown.
 const WATCH_POLL: Duration = Duration::from_millis(200);
@@ -170,17 +174,9 @@ pub fn dispatch(service: &ContextService, line: &str) -> (String, bool) {
         return (err("request needs a string \"cmd\" field"), false);
     };
     let snap = service.current_epoch();
-    service.registry().observe_wall("serve.query_seconds", &[("cmd", cmd)], 0.0, QUERY_BOUNDS);
     let resp = match cmd {
         "status" => {
-            let epochs_published = service
-                .registry()
-                .snapshot_shared()
-                .deterministic
-                .counters
-                .get("serve.epochs")
-                .copied()
-                .unwrap_or(0);
+            let epochs_published = service.registry().counter("serve.epochs", &[]);
             json(&StatusResponse {
                 ok: true,
                 kind: "status",
@@ -235,16 +231,13 @@ pub fn dispatch(service: &ContextService, line: &str) -> (String, bool) {
             sanitize: snap.sanitize.clone(),
         }),
         "epoch" => json(&EpochResponse { ok: true, kind: "epoch", snapshot: (*snap).clone() }),
-        "metrics" => {
-            // Assembled by hand so the shared snapshot `Arc` serializes
-            // in place — no clone of the histogram maps per request.
-            let metrics = service.registry().snapshot_shared();
-            format!(
-                "{{\"ok\":true,\"kind\":\"metrics\",\"epoch\":{},\"snapshot\":{}}}",
-                snap.epoch,
-                json(&*metrics)
-            )
-        }
+        // Assembled by hand around the registry's cached JSON, which is
+        // serialized once per metric change, not once per request.
+        "metrics" => format!(
+            "{{\"ok\":true,\"kind\":\"metrics\",\"epoch\":{},\"snapshot\":{}}}",
+            snap.epoch,
+            service.registry().snapshot_json_shared()
+        ),
         // Streaming is a connection-level mode, not a one-shot answer:
         // `handle_conn` intercepts it before dispatch ever runs.
         // Reaching this arm means the caller invoked the pure in-process
@@ -392,10 +385,11 @@ fn watch_row(
     })
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Send `line` and its `\n` in one write: a second, one-byte write
+/// would sit behind Nagle until the peer's delayed ACK for the first.
+fn write_line(writer: &mut TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Run one `watch` feed on an open connection: emit the current epoch
@@ -412,7 +406,7 @@ fn stream_watch(
     let (base, rx) = service.subscribe_epochs();
     let mut prev = Arc::new(MetricsSnapshot::empty());
     let mut sent = 0u64;
-    write_line(writer, &watch_row(service, &base, &mut prev))?;
+    write_line(writer, watch_row(service, &base, &mut prev))?;
     sent += 1;
     if base.final_epoch || max.is_some_and(|m| sent >= m) {
         return Ok(());
@@ -420,7 +414,7 @@ fn stream_watch(
     loop {
         match rx.recv_timeout(WATCH_POLL) {
             Ok(snap) => {
-                write_line(writer, &watch_row(service, &snap, &mut prev))?;
+                write_line(writer, watch_row(service, &snap, &mut prev))?;
                 sent += 1;
                 if snap.final_epoch || max.is_some_and(|m| sent >= m) {
                     return Ok(());
@@ -437,6 +431,10 @@ fn stream_watch(
 }
 
 fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
+    // No Nagle: the short last segment of a long answer would otherwise
+    // wait for the peer to ACK the ones before it. Every answer is one
+    // write (`write_line`), so this sends no extra small segments.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
     let reader = BufReader::new(read_half);
     let mut writer = stream;
@@ -449,12 +447,6 @@ fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
         // ends; everything else stays strict request/response.
         if let Ok(v) = serde_json::from_str(&line) {
             if v.get("cmd").and_then(|c| c.as_str()) == Some("watch") {
-                service.registry().observe_wall(
-                    "serve.query_seconds",
-                    &[("cmd", "watch")],
-                    0.0,
-                    QUERY_BOUNDS,
-                );
                 let max = v.get("max").and_then(|m| m.as_u64());
                 if stream_watch(&mut writer, service, signal, max).is_err() {
                     break;
@@ -463,7 +455,7 @@ fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
             }
         }
         let (resp, shutdown) = dispatch(service, &line);
-        if write_line(&mut writer, &resp).is_err() {
+        if write_line(&mut writer, resp).is_err() {
             break;
         }
         if shutdown {
@@ -476,13 +468,11 @@ fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
 /// One-shot client: connect, send `line`, read one response line.
 /// What the `serve --connect` client mode and the test suites use.
 pub fn query_once(addr: SocketAddr, line: &str, timeout: Duration) -> io::Result<String> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    write_line(&mut stream, line.to_string())?;
     let mut resp = String::new();
     BufReader::new(stream).read_line(&mut resp)?;
     if resp.is_empty() {
@@ -497,6 +487,7 @@ mod tests {
     use crate::service::{PartitionSpec, ServeOptions};
     use st_obs::Registry;
     use st_speedtest::{Access, Measurement, Platform};
+    use std::time::Instant;
 
     fn m(id: u64) -> Measurement {
         Measurement {
@@ -584,8 +575,72 @@ mod tests {
     }
 
     #[test]
+    fn queries_never_write_to_the_registry() {
+        let s = service();
+        let reg = s.registry();
+        let version = reg.version();
+        for line in [
+            "{\"cmd\":\"status\"}",
+            "{\"cmd\":\"city\",\"city\":\"City-A\"}",
+            "{\"cmd\":\"headline\"}",
+            "{\"cmd\":\"quarantine\"}",
+            "{\"cmd\":\"epoch\"}",
+            "{\"cmd\":\"metrics\"}",
+            "{\"cmd\":\"watch\"}",
+            "{\"cmd\":\"shutdown\"}",
+            "not json",
+        ] {
+            dispatch(&s, line);
+            assert_eq!(reg.version(), version, "{line} wrote to the registry");
+        }
+        // status reads the one counter it reports; metrics wraps the
+        // snapshot's exact JSON.
+        let (resp, _) = dispatch(&s, "{\"cmd\":\"status\"}");
+        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        let snap = reg.snapshot_shared();
+        assert_eq!(get(&v, "epochs_published").as_u64(), Some(1));
+        assert_eq!(
+            get(&v, "epochs_published").as_u64(),
+            snap.deterministic.counters.get("serve.epochs").copied()
+        );
+        let (resp, _) = dispatch(&s, "{\"cmd\":\"metrics\"}");
+        let want = format!(
+            "{{\"ok\":true,\"kind\":\"metrics\",\"epoch\":1,\"snapshot\":{}}}",
+            serde_json::to_string(&*snap).unwrap()
+        );
+        assert_eq!(resp, want);
+    }
+
+    #[test]
+    fn keepalive_answers_do_not_wait_on_delayed_acks() {
+        let s = service();
+        let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
+        let t = Duration::from_secs(5);
+        let stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
+        stream.set_read_timeout(Some(t)).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        // An answer sent as two writes waits ~40 ms for the client's
+        // delayed ACK before its second write leaves, so 50 answers
+        // would take about 2 s.
+        let start = Instant::now();
+        for i in 0..50 {
+            let cmd = if i % 2 == 0 { "status" } else { "metrics" };
+            writer.write_all(format!("{{\"cmd\":\"{cmd}\"}}\n").as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("answer");
+            let v: serde_json::Value = serde_json::from_str(&line).expect("answer parses");
+            assert_eq!(get(&v, "kind").as_str(), Some(cmd), "{line}");
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "50 keep-alive answers took {took:?}");
+        server.stop();
+    }
+
+    #[test]
     fn watch_over_tcp_streams_rows_and_returns_to_request_response() {
         let s = service();
+        let version = s.registry().version();
         let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
         let t = Duration::from_secs(5);
         let stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
@@ -612,6 +667,7 @@ mod tests {
         reader.read_line(&mut resp).expect("status after watch");
         let v: serde_json::Value = serde_json::from_str(&resp).expect("status parses");
         assert_eq!(get(&v, "kind").as_str(), Some("status"));
+        assert_eq!(s.registry().version(), version, "watch and status wrote to the registry");
         server.stop();
     }
 
