@@ -72,14 +72,14 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, CliError> {
                 let ms = parse_count("--interval-ms", &next_value(&mut it, "--interval-ms")?)?;
                 args.interval = Duration::from_millis(ms as u64);
             }
-            "--help" | "-h" => return Err(CliError::Help(USAGE.to_string())),
-            other => return Err(CliError::Usage(format!("unknown flag {other}\n{USAGE}"))),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
     }
     if args.connect.is_none() && args.ledger.is_none() {
-        return Err(CliError::Usage(format!(
-            "at least one feed is required (--connect or --ledger)\n{USAGE}"
-        )));
+        return Err(CliError::Usage(
+            "at least one feed is required (--connect or --ledger)".to_string(),
+        ));
     }
     Ok(args)
 }
@@ -97,7 +97,7 @@ fn load_baseline(path: &str) -> Result<LedgerRow, CliError> {
 
 fn run_identity(row: &LedgerRow) -> RunIdentity {
     RunIdentity {
-        schema: row.schema.clone(),
+        schema: format!("{} {}", row.schema, row.command),
         scale: row.scale,
         seed: row.seed,
         parallelism: row.parallelism as u64,
@@ -109,11 +109,11 @@ fn run_identity(row: &LedgerRow) -> RunIdentity {
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(e) => return e.report(),
+        Err(e) => return e.report(USAGE),
     };
     let baseline = match args.baseline.as_deref().map(load_baseline).transpose() {
         Ok(b) => b,
-        Err(e) => return e.report(),
+        Err(e) => return e.report(USAGE),
     };
 
     let mut controller = Controller::new();

@@ -7,8 +7,10 @@
 //!
 //! Writes `<city>_ookla.{csv,json}`, `<city>_mlab.*`, `<city>_mba.*` with
 //! one row per measurement and the full context schema (platform, vendor,
-//! access, band, RSSI, memory, loaded RTT, ground-truth tier).
+//! access, band, RSSI, memory, loaded RTT, ground-truth tier). Usage
+//! errors exit 2, `--help` exits 0, and a failed export exits 1.
 
+use st_bench::cli::{self, CliError};
 use st_datagen::{City, CityDataset};
 use st_speedtest::CampaignStore;
 use std::path::PathBuf;
@@ -28,7 +30,10 @@ struct Args {
     format: Format,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str =
+    "usage: gen-data [--city A|B|C|D|all] [--scale S] [--seed N] [--out DIR] [--format csv|json]";
+
+fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
         cities: City::all().to_vec(),
         scale: 0.01,
@@ -38,7 +43,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut value = |name: &str| cli::next_value(&mut it, name);
         match flag.as_str() {
             "--city" => {
                 args.cities = match value("--city")?.as_str() {
@@ -47,32 +52,21 @@ fn parse_args() -> Result<Args, String> {
                     "C" => vec![City::C],
                     "D" => vec![City::D],
                     "all" => City::all().to_vec(),
-                    other => return Err(format!("unknown city {other}")),
+                    other => return Err(CliError::Usage(format!("unknown city {other}"))),
                 }
             }
-            "--scale" => {
-                args.scale = value("--scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                if !(args.scale > 0.0 && args.scale <= 1.0) {
-                    return Err("--scale must be in (0, 1]".into());
-                }
-            }
-            "--seed" => {
-                args.seed = value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?
-            }
+            "--scale" => args.scale = cli::parse_scale("--scale", &value("--scale")?)?,
+            "--seed" => args.seed = cli::parse_u64("--seed", &value("--seed")?)?,
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--format" => {
                 args.format = match value("--format")?.as_str() {
                     "csv" => Format::Csv,
                     "json" => Format::Json,
-                    other => return Err(format!("unknown format {other}")),
+                    other => return Err(CliError::Usage(format!("unknown format {other}"))),
                 }
             }
-            "--help" | "-h" => {
-                return Err("usage: gen-data [--city A|B|C|D|all] [--scale S] [--seed N] \
-                     [--out DIR] [--format csv|json]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
     }
     Ok(args)
@@ -81,10 +75,7 @@ fn parse_args() -> Result<Args, String> {
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return e.report(USAGE),
     };
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         eprintln!("cannot create {}: {e}", args.out.display());

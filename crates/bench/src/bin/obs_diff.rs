@@ -11,11 +11,13 @@
 //! tolerance band (`--wall-ratio`, default 2.0) with a noise floor
 //! (`--wall-floor`, default 0.05 s); exceedances are warnings only.
 //!
-//! Exit code: `0` when the deterministic class is identical, `1` on
-//! deterministic drift, `2` on usage, I/O, or parse errors. Wall-clock
-//! exceedances never change the exit code — timings move with load and
-//! hardware, and gating on them would make the regression gate flaky.
+//! Exit code: `0` when the deterministic class is identical (and for
+//! `--help`), `1` on deterministic drift, `2` on usage, I/O, or parse
+//! errors. Wall-clock exceedances never change the exit code — timings
+//! move with load and hardware, and gating on them would make the
+//! regression gate flaky.
 
+use st_bench::cli::{self, CliError};
 use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
 use std::process::ExitCode;
 
@@ -28,36 +30,33 @@ struct Args {
     options: DiffOptions,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Args, CliError> {
     let mut paths: Vec<String> = Vec::new();
     let mut options = DiffOptions::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut value = |name: &str| cli::next_value(&mut it, name);
         match flag.as_str() {
             "--wall-ratio" => {
                 options.wall_ratio =
-                    value("--wall-ratio")?.parse().map_err(|e| format!("bad --wall-ratio: {e}"))?;
-                if options.wall_ratio < 1.0 || options.wall_ratio.is_nan() {
-                    return Err("--wall-ratio must be >= 1.0".into());
-                }
+                    cli::parse_float_min("--wall-ratio", &value("--wall-ratio")?, 1.0)?;
             }
             "--wall-floor" => {
                 options.wall_floor_s =
-                    value("--wall-floor")?.parse().map_err(|e| format!("bad --wall-floor: {e}"))?;
-                if options.wall_floor_s < 0.0 || options.wall_floor_s.is_nan() {
-                    return Err("--wall-floor must be >= 0".into());
-                }
+                    cli::parse_float_min("--wall-floor", &value("--wall-floor")?, 0.0)?;
             }
-            "--help" | "-h" => return Err(USAGE.into()),
+            "--help" | "-h" => return Err(CliError::Help),
             other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}\n{USAGE}"))
+                return Err(CliError::Usage(format!("unknown flag {other}")))
             }
             path => paths.push(path.to_string()),
         }
     }
     if paths.len() != 2 {
-        return Err(format!("expected exactly two snapshot paths, got {}\n{USAGE}", paths.len()));
+        return Err(CliError::Usage(format!(
+            "expected exactly two snapshot paths, got {}",
+            paths.len()
+        )));
     }
     let new = paths.pop().expect("two paths");
     let old = paths.pop().expect("two paths");
@@ -72,10 +71,7 @@ fn load(path: &str) -> Result<MetricsDoc, String> {
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return e.report(USAGE),
     };
     let (old, new) = match (load(&args.old), load(&args.new)) {
         (Ok(o), Ok(n)) => (o, n),

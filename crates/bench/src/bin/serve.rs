@@ -22,21 +22,21 @@
 //! after the final epoch so scripted clients can read it; a `shutdown`
 //! command (or the timeout) ends the run.
 //!
-//! The appended `BENCH_ledger.jsonl` row (schema `st-serve/v1`) carries
-//! the artifact hash plus chunk/segment/epoch counts and sustained
-//! ingest throughput: a serve row and a batch row with equal
-//! `artifact_hash` produced the same bytes.
+//! Outputs and exit codes are `repro`'s (see `st_bench::output`); a
+//! degraded run always exits 1. The appended `st-run/v2` ledger row
+//! carries the artifact hash plus the `stream` section (plan,
+//! chunk/segment/epoch counts and sustained ingest throughput): a serve
+//! row and a batch row with equal `artifact_hash` produced the same
+//! bytes.
 //!
 //! Client mode (`--connect`) sends one query to a running server and
 //! prints the response line; it exits nonzero if the response reports
 //! `ok: false`.
 
-use serde::Serialize;
-use st_bench::cli::{self, CliError};
-use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
-use st_bench::ledger::{append_ledger, artifact_hash, ServeLedgerRow};
+use st_bench::cli::{self, CliError, RunArgs};
+use st_bench::ledger::artifact_hash;
 use st_bench::{
-    build_analyses_serve, make_warm_renderer, render_report, run_all_observed, StageTimings,
+    build_analyses_serve, city_partitions, make_warm_renderer, output, run_all_observed,
     SuperviseOptions,
 };
 use st_serve::{
@@ -44,7 +44,6 @@ use st_serve::{
 };
 use st_speedtest::wire::ShapedServer;
 use st_speedtest::{run_load, BackoffSchedule, LoadOptions};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,10 +55,7 @@ const USAGE: &str = "usage: serve [--scale S] [--seed N] [--out DIR] [--parallel
        serve --connect ADDR [--query CMD] [--timeout SECS]";
 
 struct Args {
-    scale: f64,
-    seed: u64,
-    out: PathBuf,
-    parallelism: usize,
+    run: RunArgs,
     chunk_rows: usize,
     seal_rows: usize,
     epoch_rows: usize,
@@ -67,9 +63,6 @@ struct Args {
     port: u16,
     linger: u64,
     wire_sessions: usize,
-    metrics: bool,
-    baseline: Option<PathBuf>,
-    diff_options: DiffOptions,
     connect: Option<String>,
     query: String,
     timeout_s: u64,
@@ -77,10 +70,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, CliError> {
     let mut args = Args {
-        scale: 0.05,
-        seed: 20220707,
-        out: PathBuf::from("serve-out"),
-        parallelism: st_datagen::par::default_parallelism(),
+        run: RunArgs::new("serve-out"),
         chunk_rows: 2048,
         seal_rows: st_speedtest::DEFAULT_SEAL_ROWS,
         epoch_rows: st_serve::DEFAULT_EPOCH_ROWS,
@@ -88,24 +78,17 @@ fn parse_args() -> Result<Args, CliError> {
         port: 0,
         linger: 0,
         wire_sessions: 0,
-        metrics: false,
-        baseline: None,
-        diff_options: DiffOptions::default(),
         connect: None,
         query: "status".to_string(),
         timeout_s: 10,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
+        if args.run.parse_flag(&flag, &mut it)? {
+            continue;
+        }
         let mut value = |name: &str| cli::next_value(&mut it, name);
         match flag.as_str() {
-            "--scale" => args.scale = cli::parse_scale("--scale", &value("--scale")?)?,
-            "--seed" => args.seed = cli::parse_u64("--seed", &value("--seed")?)?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--parallelism" => {
-                args.parallelism =
-                    cli::parse_at_least_one("--parallelism", &value("--parallelism")?)?;
-            }
             "--chunk-rows" => {
                 args.chunk_rows = cli::parse_at_least_one("--chunk-rows", &value("--chunk-rows")?)?;
             }
@@ -126,21 +109,11 @@ fn parse_args() -> Result<Args, CliError> {
                 args.wire_sessions =
                     cli::parse_count("--wire-sessions", &value("--wire-sessions")?)?;
             }
-            "--metrics" => args.metrics = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--wall-ratio" => {
-                args.diff_options.wall_ratio =
-                    cli::parse_float_min("--wall-ratio", &value("--wall-ratio")?, 1.0)?;
-            }
-            "--wall-floor" => {
-                args.diff_options.wall_floor_s =
-                    cli::parse_float_min("--wall-floor", &value("--wall-floor")?, 0.0)?;
-            }
             "--connect" => args.connect = Some(value("--connect")?),
             "--query" => args.query = value("--query")?,
             "--timeout" => args.timeout_s = cli::parse_u64("--timeout", &value("--timeout")?)?,
-            "--help" | "-h" => return Err(CliError::Help(USAGE.into())),
-            other => return Err(CliError::Usage(format!("unknown flag {other}\n{USAGE}"))),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
     }
     Ok(args)
@@ -188,41 +161,6 @@ fn run_client(args: &Args, addr_raw: &str) -> ExitCode {
     }
 }
 
-/// The machine-readable timing record written next to the artifacts.
-#[derive(Serialize)]
-struct BenchRecord {
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    chunk_rows: usize,
-    seal_rows: usize,
-    epoch_rows: usize,
-    timings: StageTimings,
-    ingest_s: f64,
-}
-
-/// The `BENCH_metrics.json` schema, as written by `repro` and `ingest`.
-#[derive(Serialize)]
-struct MetricsRecord {
-    schema: &'static str,
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    deterministic: st_obs::DeterministicMetrics,
-    wall_clock: st_obs::WallClockMetrics,
-}
-
-fn write_file(path: &Path, contents: &str, failures: &mut usize) -> bool {
-    match std::fs::write(path, contents) {
-        Ok(()) => true,
-        Err(e) => {
-            *failures += 1;
-            eprintln!("WARN: cannot write {}: {e}", path.display());
-            false
-        }
-    }
-}
-
 /// Drive `--wire-sessions` live sessions against a loopback shaped pool
 /// and ingest the completed results into the service's wire partition
 /// (wall-clock class: which sessions complete depends on real sockets,
@@ -257,22 +195,21 @@ fn ingest_wire_sessions(service: &ContextService, sessions: usize, seed: u64) {
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => return e.report(),
+        Err(e) => return e.report(USAGE),
     };
     if let Some(addr) = args.connect.clone() {
         return run_client(&args, &addr);
     }
+    let run = &args.run;
 
     eprintln!(
         "serving 4 cities at scale {} (seed {}, parallelism {}, chunks of {}, seal at {}, \
          epoch every {}) ...",
-        args.scale, args.seed, args.parallelism, args.chunk_rows, args.seal_rows, args.epoch_rows
+        run.scale, run.seed, run.parallelism, args.chunk_rows, args.seal_rows, args.epoch_rows
     );
-    let t0 = std::time::Instant::now();
     let obs = st_obs::Registry::new();
-    let warm = args.warm.then(|| make_warm_renderer(args.scale, args.seed));
-    let mut specs: Vec<PartitionSpec> =
-        st_datagen::City::all().iter().map(|c| PartitionSpec::city(c.label())).collect();
+    let warm = args.warm.then(|| make_warm_renderer(run.scale, run.seed));
+    let mut specs = city_partitions();
     specs.push(PartitionSpec::wire());
     let service = Arc::new(ContextService::new(
         specs,
@@ -290,13 +227,13 @@ fn main() -> ExitCode {
     println!("listening on {}", server.addr());
 
     if args.wire_sessions > 0 {
-        ingest_wire_sessions(&service, args.wire_sessions, args.seed);
+        ingest_wire_sessions(&service, args.wire_sessions, run.seed);
     }
 
-    let (analyses, timings, sanitize, stats) = match build_analyses_serve(
-        args.scale,
-        args.seed,
-        args.parallelism,
+    let (analyses, timings, sanitize, mut stream) = match build_analyses_serve(
+        run.scale,
+        run.seed,
+        run.parallelism,
         args.chunk_rows,
         &service,
         &obs,
@@ -309,12 +246,11 @@ fn main() -> ExitCode {
     };
     eprintln!(
         "streamed {} rows in {} chunks ({} segments, {} warm epochs) in {:.1}s; rendering ...",
-        stats.rows, stats.chunks, stats.segments, stats.epochs, stats.ingest_s
+        stream.rows, stream.chunks, stream.segments, stream.epochs, stream.ingest_s
     );
 
-    let opts = SuperviseOptions { parallelism: args.parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, args.scale, args.seed, &opts, timings, sanitize, &obs);
-    let claims = st_bench::claims::check_all(&analyses);
+    let opts = SuperviseOptions { parallelism: run.parallelism, ..SuperviseOptions::default() };
+    let report = run_all_observed(&analyses, run.scale, run.seed, &opts, timings, sanitize, &obs);
 
     // Publish the final epoch before any disk IO: queries arriving from
     // here on see the completed run.
@@ -325,7 +261,7 @@ fn main() -> ExitCode {
         .filter(|a| a.id.starts_with("table"))
         .map(|a| (a.id.clone(), a.text.clone()))
         .collect();
-    let final_epoch = match service.publish_final(
+    stream.epochs = match service.publish_final(
         &report.health.sanitize,
         report.headlines.clone(),
         tables,
@@ -338,149 +274,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("published final epoch {final_epoch} (artifact hash {hash:016x})");
+    eprintln!("published final epoch {} (artifact hash {hash:016x})", stream.epochs);
 
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("cannot create {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-    let mut written = 0usize;
-    let mut write_failures = 0usize;
-    for a in &report.artifacts {
-        if let Some(svg) = &a.svg {
-            if write_file(&args.out.join(format!("{}.svg", a.id)), svg, &mut write_failures) {
-                written += 1;
-            }
-        }
-        if write_file(&args.out.join(format!("{}.json", a.id)), &a.json, &mut write_failures) {
-            written += 1;
-        }
-    }
-
-    let bench = BenchRecord {
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        chunk_rows: args.chunk_rows,
-        seal_rows: args.seal_rows,
-        epoch_rows: args.epoch_rows,
-        timings: report.timings,
-        ingest_s: stats.ingest_s,
-    };
-    let timings_path = args.out.join("BENCH_timings.json");
-    let timings_json = serde_json::to_string_pretty(&bench).expect("timings serialize");
-    if write_file(&timings_path, &timings_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", timings_path.display());
-    }
-
-    let snapshot = report.metrics.as_ref().expect("observed run carries metrics");
-    let record = MetricsRecord {
-        schema: snapshot.schema,
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        deterministic: snapshot.deterministic.clone(),
-        wall_clock: snapshot.wall_clock.clone(),
-    };
-    let metrics_json = serde_json::to_string_pretty(&record).expect("metrics serialize");
-    if args.metrics {
-        let metrics_path = args.out.join("BENCH_metrics.json");
-        if write_file(&metrics_path, &metrics_json, &mut write_failures) {
-            written += 1;
-            eprintln!("wrote {}", metrics_path.display());
-        }
-    }
-
-    let trace_path = args.out.join("BENCH_trace.json");
-    let trace_json = obs.trace().to_chrome_json(&format!(
-        "serve scale={} seed={} chunk_rows={} epoch_rows={}",
-        args.scale, args.seed, args.chunk_rows, args.epoch_rows
-    ));
-    if write_file(&trace_path, &trace_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", trace_path.display());
-    }
-
-    let ledger_path = args.out.join("BENCH_ledger.jsonl");
-    let row = ServeLedgerRow::from_report(
-        &report,
-        args.parallelism,
-        args.chunk_rows,
-        args.seal_rows,
-        args.epoch_rows,
-        &stats,
-        final_epoch,
-    );
-    match append_ledger(&ledger_path, &row) {
-        Ok(()) => eprintln!("appended serve ledger row to {}", ledger_path.display()),
-        Err(e) => {
-            write_failures += 1;
-            eprintln!("WARN: cannot append to {}: {e}", ledger_path.display());
-        }
-    }
-
-    let mut md = render_report(&report);
-    md.push_str("\n## Shape claims (paper vs this run)\n\n");
-    md.push_str(&st_bench::claims::render_claims(&claims));
-    let holds = claims.iter().filter(|c| c.holds).count();
-    md.push_str(&format!("\n{holds}/{} claims hold\n", claims.len()));
-    if let Err(e) = std::fs::write(args.out.join("report.md"), &md) {
-        eprintln!("cannot write report: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("{md}");
-
-    let mut baseline_drift = false;
-    if let Some(baseline_path) = &args.baseline {
-        let baseline_text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline_doc = match MetricsDoc::parse(&baseline_text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let current_doc = MetricsDoc::parse(&metrics_json).expect("own snapshot parses");
-        let diff = diff_metrics(&baseline_doc, &current_doc, args.diff_options);
-        println!("{}", diff.render(&baseline_doc, &current_doc));
-        if diff.deterministic_match() {
-            eprintln!(
-                "baseline {}: deterministic metrics match ({} keys)",
-                baseline_path.display(),
-                diff.matched_keys
-            );
-        } else {
-            baseline_drift = true;
-            eprintln!(
-                "BASELINE DRIFT: {} deterministic keys differ from {}",
-                diff.drift.len(),
-                baseline_path.display()
-            );
-        }
-    }
-
-    eprintln!(
-        "generate {:.1}s | stream {:.1}s ({:.0} rows/s) | fit {:.1}s | derive {:.1}s | render {:.1}s",
-        report.timings.generate_s,
-        stats.ingest_s,
-        row.rows_per_s,
-        report.timings.fit_s,
-        report.timings.derive_s,
-        report.timings.render_s
-    );
-    eprintln!("wrote {} files to {} in {:.1?}", written + 1, args.out.display(), t0.elapsed());
-
+    let code = output::write_run("serve", run, &report, &analyses, &obs, Some(stream), false);
     if args.linger > 0 {
         eprintln!(
             "serving final epoch {} on {} for up to {}s (send {{\"cmd\":\"shutdown\"}} to exit)",
-            final_epoch,
+            stream.epochs,
             server.addr(),
             args.linger
         );
@@ -489,20 +289,5 @@ fn main() -> ExitCode {
         }
     }
     server.stop();
-
-    if write_failures > 0 {
-        eprintln!("WRITE FAILURES: {write_failures} output files could not be written");
-    }
-    if report.health.is_degraded() {
-        let h = &report.health;
-        eprintln!(
-            "DEGRADED: {} of {} render jobs failed ({} retried); see the report's Health section",
-            h.jobs_failed, h.jobs_total, h.jobs_retried
-        );
-        return ExitCode::FAILURE;
-    }
-    if baseline_drift || write_failures > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    code
 }

@@ -24,11 +24,12 @@
 //! With `--baseline OLD_METRICS.json` the run diffs itself against a
 //! previous snapshot in-process (same contract as `obs-diff`).
 //!
-//! Exit code: `0` on a clean campaign, `1` when any session's actual
-//! fate diverged from the deterministic plan (`unexpected_outcomes`),
-//! when every session died (`degraded`), or on baseline drift; `2` on
-//! usage or I/O errors.
+//! Exit code: `0` on a clean campaign (and for `--help`), `1` when any
+//! session's actual fate diverged from the deterministic plan
+//! (`unexpected_outcomes`), when every session died (`degraded`), or on
+//! baseline drift; `2` on usage or I/O errors.
 
+use st_bench::cli::{self, CliError};
 use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
 use st_bench::ledger::{append_ledger, LoadLedgerRow};
 use st_obs::Registry;
@@ -87,16 +88,16 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Args, CliError> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        fn num<T: std::str::FromStr>(name: &str, v: String) -> Result<T, String>
+        let mut value = |name: &str| cli::next_value(&mut it, name);
+        fn num<T: std::str::FromStr>(name: &str, v: String) -> Result<T, CliError>
         where
             T::Err: std::fmt::Display,
         {
-            v.parse().map_err(|e| format!("bad {name}: {e}"))
+            v.parse().map_err(|e| CliError::Usage(format!("bad {name}: {e}")))
         }
         match flag.as_str() {
             "--sessions" => args.sessions = num("--sessions", value("--sessions")?)?,
@@ -118,18 +119,18 @@ fn parse_args() -> Result<Args, String> {
             "--with-upload" => args.with_upload = true,
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::Usage(format!("unknown flag {other}"))),
         }
     }
     if args.sessions == 0 || args.pool == 0 {
-        return Err("--sessions and --pool must be at least 1".into());
+        return Err(CliError::Usage("--sessions and --pool must be at least 1".into()));
     }
     if !(0.0..=1.0).contains(&args.fault_rate) {
-        return Err("--fault-rate must be in [0, 1]".into());
+        return Err(CliError::Usage("--fault-rate must be in [0, 1]".into()));
     }
     if args.ramp_ms >= args.duration_ms {
-        return Err("--ramp-ms must be shorter than --duration-ms".into());
+        return Err(CliError::Usage("--ramp-ms must be shorter than --duration-ms".into()));
     }
     Ok(args)
 }
@@ -149,10 +150,7 @@ struct MetricsRecord {
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return e.report(USAGE),
     };
 
     let profile = FaultProfile::new(args.seed, args.fault_rate);

@@ -1,20 +1,22 @@
 //! Shared validated flag parsing for the st-bench binaries.
 //!
-//! Every binary used to hand-roll the same `--scale`/`--seed`/... loop
-//! with slightly different validation and a single catch-all exit code.
-//! This module centralizes the value parsing so `ingest` and `serve`
-//! reject the same nonsense the same way, and splits the exit contract
-//! in two:
+//! Every binary parses its flags through this module, so they all
+//! reject the same nonsense the same way: [`RunArgs`] holds the flags
+//! `repro`, `ingest` and `serve` share, and the `parse_*` helpers
+//! validate the rest. The exit contract has two halves:
 //!
 //! * **usage errors** (bad flag, missing value, out-of-range knob like
-//!   `--chunk-rows 0`) exit with [`USAGE_EXIT_CODE`] (2) — the caller
-//!   never started doing work;
+//!   `--chunk-rows 0`) print the reason and the usage line to stderr and
+//!   exit with [`USAGE_EXIT_CODE`] (2) — the caller never started doing
+//!   work;
 //! * **runtime failures** (degraded render, baseline drift, write
 //!   failures) keep exiting 1 as before.
 //!
 //! `--help` is not an error: it prints the usage string to stdout and
 //! exits 0.
 
+use crate::diff::DiffOptions;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Exit code for malformed invocations (POSIX-style "incorrect usage").
@@ -24,21 +26,23 @@ pub const USAGE_EXIT_CODE: u8 = 2;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// `--help`/`-h`: print the usage string to stdout, exit 0.
-    Help(String),
-    /// A malformed invocation: print to stderr, exit [`USAGE_EXIT_CODE`].
+    Help,
+    /// A malformed invocation, and why: print the reason and the usage
+    /// string to stderr, exit [`USAGE_EXIT_CODE`].
     Usage(String),
 }
 
 impl CliError {
-    /// Report the outcome and produce the binary's exit code.
-    pub fn report(self) -> ExitCode {
+    /// Report the outcome against the binary's `usage` string and
+    /// produce its exit code.
+    pub fn report(self, usage: &str) -> ExitCode {
         match self {
-            CliError::Help(usage) => {
+            CliError::Help => {
                 println!("{usage}");
                 ExitCode::SUCCESS
             }
             CliError::Usage(msg) => {
-                eprintln!("{msg}");
+                eprintln!("{msg}\n{usage}");
                 ExitCode::from(USAGE_EXIT_CODE)
             }
         }
@@ -91,6 +95,67 @@ pub fn parse_float_min(flag: &str, raw: &str, min: f64) -> Result<f64, CliError>
     Ok(v)
 }
 
+/// The flags `repro`, `ingest` and `serve` share: what to generate,
+/// where the outputs go, and the `--baseline` comparison.
+#[derive(Debug, Clone)]
+pub struct RunArgs {
+    /// `--scale`: fraction of the paper's campaign sizes.
+    pub scale: f64,
+    /// `--seed`.
+    pub seed: u64,
+    /// `--out`: the output directory.
+    pub out: PathBuf,
+    /// `--parallelism`: worker threads for every stage.
+    pub parallelism: usize,
+    /// `--metrics`: also write `BENCH_metrics.json`.
+    pub metrics: bool,
+    /// `--baseline`: a previous `BENCH_metrics.json` to diff against.
+    pub baseline: Option<PathBuf>,
+    /// `--wall-ratio` and `--wall-floor` for the baseline diff.
+    pub diff_options: DiffOptions,
+}
+
+impl RunArgs {
+    /// The defaults, writing to `out`.
+    pub fn new(out: &str) -> RunArgs {
+        RunArgs {
+            scale: 0.05,
+            seed: 20220707,
+            out: PathBuf::from(out),
+            parallelism: st_datagen::par::default_parallelism(),
+            metrics: false,
+            baseline: None,
+            diff_options: DiffOptions::default(),
+        }
+    }
+
+    /// Take `flag` (and its value from `it`) if it is one of the shared
+    /// flags; `Ok(false)` leaves it to the binary.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, CliError> {
+        match flag {
+            "--scale" => self.scale = parse_scale(flag, &next_value(it, flag)?)?,
+            "--seed" => self.seed = parse_u64(flag, &next_value(it, flag)?)?,
+            "--out" => self.out = PathBuf::from(next_value(it, flag)?),
+            "--parallelism" => self.parallelism = parse_at_least_one(flag, &next_value(it, flag)?)?,
+            "--metrics" => self.metrics = true,
+            "--baseline" => self.baseline = Some(PathBuf::from(next_value(it, flag)?)),
+            "--wall-ratio" => {
+                self.diff_options.wall_ratio = parse_float_min(flag, &next_value(it, flag)?, 1.0)?;
+            }
+            "--wall-floor" => {
+                self.diff_options.wall_floor_s =
+                    parse_float_min(flag, &next_value(it, flag)?, 0.0)?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,5 +194,19 @@ mod tests {
         assert!(matches!(parse_float_min("--wall-ratio", "NaN", 1.0), Err(CliError::Usage(_))));
         assert_eq!(parse_float_min("--wall-ratio", "1.25", 1.0), Ok(1.25));
         assert_eq!(parse_count("--linger", "0"), Ok(0));
+    }
+
+    #[test]
+    fn run_args_take_the_shared_flags_and_leave_the_rest() {
+        let mut args = RunArgs::new("out");
+        let mut it = ["0.01", "7", "--chunk-rows", "500"].map(String::from).into_iter();
+        assert_eq!(args.parse_flag("--scale", &mut it), Ok(true));
+        assert_eq!(args.parse_flag("--seed", &mut it), Ok(true));
+        assert_eq!(args.parse_flag("--metrics", &mut it), Ok(true));
+        assert_eq!((args.scale, args.seed, args.metrics), (0.01, 7, true));
+        assert_eq!(args.parse_flag("--chunk-rows", &mut it), Ok(false), "not a shared flag");
+        assert_eq!(it.next().as_deref(), Some("--chunk-rows"), "an unknown flag takes no value");
+        let mut zero = ["0".to_string()].into_iter();
+        assert!(matches!(args.parse_flag("--parallelism", &mut zero), Err(CliError::Usage(_))));
     }
 }

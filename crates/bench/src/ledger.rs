@@ -1,38 +1,35 @@
-//! Append-only run ledger: one JSON line per completed `repro` run.
+//! Append-only run ledger: one JSON line per completed run.
 //!
-//! The `repro` binary appends a [`LedgerRow`] to `BENCH_ledger.jsonl`
-//! after every run (DESIGN.md §14), so a working directory accumulates a
-//! queryable history: schema version, run knobs (scale, seed,
-//! parallelism), an FNV-1a hash of the artifact set, headline counters,
-//! and the per-stage wall-clock durations. The file is JSON Lines —
-//! append-only, one self-contained object per line — so concurrent
-//! tooling can `tail` it and a truncated final line (crash mid-append)
-//! never corrupts the rows before it.
+//! `repro`, `ingest` and `serve` each append one [`LedgerRow`] (schema
+//! [`RUN_LEDGER_SCHEMA`]) to `BENCH_ledger.jsonl` after every run
+//! (DESIGN.md §14), so a working directory accumulates a queryable
+//! history: the command, run knobs (scale, seed, parallelism), an FNV-1a
+//! hash of the artifact set, headline counters, the per-stage wall-clock
+//! durations, and — for a replay through the service — the `stream`
+//! section. `wire-load` appends [`LoadLedgerRow`]s to the same kind of
+//! file. The file is JSON Lines — append-only, one self-contained object
+//! per line — so concurrent tooling can `tail` it and a truncated final
+//! line (crash mid-append) never corrupts the rows before it.
 //!
 //! The artifact hash uses the same FNV-1a scheme as the golden-identity
-//! test ([`fnv1a`] over the sorted `<id>.svg`/`<id>.json` file set, name
-//! bytes then content bytes), so a ledger row's hash can be compared
+//! capture ([`fnv1a`] over the sorted `<id>.svg`/`<id>.json` file set,
+//! name bytes then content bytes), so a row's hash can be compared
 //! directly against the pinned golden value: two rows with equal
-//! `artifact_hash` produced byte-identical artifact sets.
+//! `artifact_hash` produced byte-identical artifact sets, whichever
+//! command wrote them.
 
 use crate::diff::{diff_metrics, DiffOptions, MetricsDoc};
-use crate::{Artifact, ReproReport};
+use crate::{Artifact, ReproReport, StreamStats};
 use serde::Serialize;
 use serde_json::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Schema tag stamped on every row.
-pub const LEDGER_SCHEMA: &str = "st-ledger/v1";
+/// Schema tag stamped on every `repro`, `ingest` and `serve` row.
+pub const RUN_LEDGER_SCHEMA: &str = "st-run/v2";
 
 /// Schema tag stamped on every `wire-load` campaign row.
 pub const LOAD_LEDGER_SCHEMA: &str = "st-load/v1";
-
-/// Schema tag stamped on every `ingest` replay row.
-pub const INGEST_LEDGER_SCHEMA: &str = "st-ingest/v1";
-
-/// Schema tag stamped on every `serve` run row.
-pub const SERVE_LEDGER_SCHEMA: &str = "st-serve/v1";
 
 /// FNV-1a offset basis (matches the golden-identity test).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -70,13 +67,17 @@ pub fn artifact_hash(artifacts: &[Artifact]) -> (u64, usize) {
     (h, files.len())
 }
 
-/// One run's summary row. Everything except the four stage durations is
-/// deterministic for a given (code, scale, seed, fault-injection)
-/// tuple — `artifact_hash` in particular is parallelism-invariant.
-#[derive(Debug, Clone, Serialize)]
+/// One run's summary row. Everything except the stage durations and
+/// the stream's `ingest_s`/`rows_per_s` is deterministic for a given
+/// (code, command, scale, seed, fault-injection, plan) tuple —
+/// `artifact_hash` in particular is the same for every command and at
+/// every parallelism.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LedgerRow {
-    /// Row schema tag ([`LEDGER_SCHEMA`]).
+    /// Row schema tag ([`RUN_LEDGER_SCHEMA`]).
     pub schema: String,
+    /// The binary that ran: `repro`, `ingest` or `serve`.
+    pub command: String,
     /// The run's `--scale`.
     pub scale: f64,
     /// The run's `--seed`.
@@ -109,21 +110,15 @@ pub struct LedgerRow {
     pub derive_s: f64,
     /// Wall-clock seconds of the render stage.
     pub render_s: f64,
+    /// The replay's plan and counts; `null` for a batch run.
+    pub stream: Option<StreamStats>,
 }
 
-/// Schemas the read side accepts: every batch-comparable row kind.
-/// (`st-load/v1` rows hash a metrics section instead of an artifact set
-/// and are deliberately absent — they have no drift surface here.)
-pub const BATCH_COMPARABLE_SCHEMAS: &[&str] =
-    &[LEDGER_SCHEMA, INGEST_LEDGER_SCHEMA, SERVE_LEDGER_SCHEMA];
-
 impl LedgerRow {
-    /// Parse one ledger line back into the batch-comparable field set —
-    /// the console's read side. Accepts every schema in
-    /// [`BATCH_COMPARABLE_SCHEMAS`] (ingest and serve rows are supersets
-    /// of the batch row; the extra fields are dropped, the actual
-    /// schema tag is kept) and rejects `st-load/v1` rows and unknown
-    /// schemas with a typed message.
+    /// Parse one ledger line back into a row — the console's read side.
+    /// `st-load/v1` rows and unknown schemas (an `st-ledger/v1` row from
+    /// before the run row was unified included) are rejected with a
+    /// typed message.
     pub fn parse(line: &str) -> Result<LedgerRow, String> {
         let v = serde_json::from_str(line).map_err(|e| format!("bad ledger JSON: {e}"))?;
         LedgerRow::from_value(&v)
@@ -140,48 +135,68 @@ impl LedgerRow {
                 "{schema} rows carry a metrics hash, not an artifact set — not batch-comparable"
             ));
         }
-        if !BATCH_COMPARABLE_SCHEMAS.contains(&schema) {
+        if schema != RUN_LEDGER_SCHEMA {
             return Err(format!("unknown ledger schema {schema:?}"));
         }
-        let u64f = |k: &str| {
+        let u64f = |v: &Value, k: &str| {
             v.get(k)
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{schema} row is missing u64 `{k}`"))
         };
-        let f64f = |k: &str| {
+        let f64f = |v: &Value, k: &str| {
             v.get(k)
                 .and_then(Value::as_f64_lossy)
                 .ok_or_else(|| format!("{schema} row is missing number `{k}`"))
         };
-        let hash = v
-            .get("artifact_hash")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{schema} row is missing string `artifact_hash`"))?;
+        let strf = |k: &str| {
+            v.get(k)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("{schema} row is missing string `{k}`"))
+        };
+        let artifact_hash = strf("artifact_hash")?;
+        let stream = match v.get("stream") {
+            None => return Err(format!("{schema} row is missing `stream`")),
+            Some(Value::Null) => None,
+            Some(s) => Some(StreamStats {
+                chunk_rows: u64f(s, "chunk_rows")? as usize,
+                seal_rows: u64f(s, "seal_rows")? as usize,
+                epoch_rows: u64f(s, "epoch_rows")? as usize,
+                chunks: u64f(s, "chunks")?,
+                rows: u64f(s, "rows")?,
+                segments: u64f(s, "segments")?,
+                epochs: u64f(s, "epochs")?,
+                ingest_s: f64f(s, "ingest_s")?,
+                rows_per_s: f64f(s, "rows_per_s")?,
+            }),
+        };
         Ok(LedgerRow {
             schema: schema.to_string(),
-            scale: f64f("scale")?,
-            seed: u64f("seed")?,
-            parallelism: u64f("parallelism")? as usize,
-            artifact_hash: hash.to_string(),
-            artifact_files: u64f("artifact_files")? as usize,
-            artifacts: u64f("artifacts")? as usize,
-            headlines: u64f("headlines")? as usize,
-            jobs_failed: u64f("jobs_failed")? as usize,
-            jobs_retried: u64f("jobs_retried")? as usize,
-            records_clean: u64f("records_clean")?,
-            records_repaired: u64f("records_repaired")?,
-            records_quarantined: u64f("records_quarantined")?,
-            generate_s: f64f("generate_s")?,
-            fit_s: f64f("fit_s")?,
-            derive_s: f64f("derive_s")?,
-            render_s: f64f("render_s")?,
+            artifact_hash,
+            command: strf("command")?,
+            scale: f64f(v, "scale")?,
+            seed: u64f(v, "seed")?,
+            parallelism: u64f(v, "parallelism")? as usize,
+            artifact_files: u64f(v, "artifact_files")? as usize,
+            artifacts: u64f(v, "artifacts")? as usize,
+            headlines: u64f(v, "headlines")? as usize,
+            jobs_failed: u64f(v, "jobs_failed")? as usize,
+            jobs_retried: u64f(v, "jobs_retried")? as usize,
+            records_clean: u64f(v, "records_clean")?,
+            records_repaired: u64f(v, "records_repaired")?,
+            records_quarantined: u64f(v, "records_quarantined")?,
+            generate_s: f64f(v, "generate_s")?,
+            fit_s: f64f(v, "fit_s")?,
+            derive_s: f64f(v, "derive_s")?,
+            render_s: f64f(v, "render_s")?,
+            stream,
         })
     }
 
-    /// The row's deterministic fields as a [`MetricsDoc`], so ledger
+    /// The row's batch-comparable fields as a [`MetricsDoc`], so ledger
     /// rows ride the exact-comparison machinery `obs-diff` uses: the
-    /// batch-comparable counters become counters, the scale becomes a
-    /// gauge, and the stage durations stay out (wall-clock class).
+    /// counters every command shares become counters, the scale becomes
+    /// a gauge, and the stage durations stay out (wall-clock class).
     pub fn deterministic_doc(&self) -> MetricsDoc {
         let mut doc = MetricsDoc {
             schema: self.schema.clone(),
@@ -209,9 +224,10 @@ impl LedgerRow {
     /// Drift flags for this row against a baseline row, one line per
     /// divergent key. Empty means the runs are batch-identical where
     /// the determinism contract requires it: seed, the counter surface,
-    /// and the artifact hash. The schema tag and `parallelism` are
-    /// exempt — comparing a serve run against a batch baseline across
-    /// parallelism levels is exactly the console's job.
+    /// and the artifact hash. The command, `parallelism` and the
+    /// `stream` section are exempt — comparing a serve run against a
+    /// batch baseline across parallelism levels is exactly the
+    /// console's job.
     pub fn drift_against(&self, baseline: &LedgerRow) -> Vec<String> {
         let mut flags = Vec::new();
         if self.seed != baseline.seed {
@@ -223,9 +239,6 @@ impl LedgerRow {
             DiffOptions::default(),
         );
         for d in &diff.drift {
-            if d.section == "schema" {
-                continue;
-            }
             flags.push(format!("{} {}: {}", d.section, d.key, d.detail));
         }
         if self.artifact_hash != baseline.artifact_hash {
@@ -237,12 +250,19 @@ impl LedgerRow {
         flags
     }
 
-    /// Summarize one completed run.
-    pub fn from_report(report: &ReproReport, parallelism: usize) -> LedgerRow {
+    /// Summarize one completed run of `command`; `stream` is the
+    /// replay's section, `None` for a batch run.
+    pub fn from_report(
+        command: &str,
+        report: &ReproReport,
+        parallelism: usize,
+        stream: Option<StreamStats>,
+    ) -> LedgerRow {
         let (hash, files) = artifact_hash(&report.artifacts);
         let s = &report.health.sanitize;
         LedgerRow {
-            schema: LEDGER_SCHEMA.to_string(),
+            schema: RUN_LEDGER_SCHEMA.to_string(),
+            command: command.to_string(),
             scale: report.scale,
             seed: report.seed,
             parallelism,
@@ -259,224 +279,7 @@ impl LedgerRow {
             fit_s: report.timings.fit_s,
             derive_s: report.timings.derive_s,
             render_s: report.timings.render_s,
-        }
-    }
-}
-
-/// One incremental-ingest replay's summary row (schema
-/// [`INGEST_LEDGER_SCHEMA`]). `artifact_hash` uses the same FNV-1a scheme
-/// as [`LedgerRow`], so an ingest row can be compared field-for-field
-/// against a batch row: equal hashes mean the chunked replay reproduced
-/// the batch artifact set byte for byte. Chunk counts and segment counts
-/// are deterministic for a given (code, scale, seed, chunk plan) tuple;
-/// the stage durations and `rows_per_s` are wall-clock class.
-#[derive(Debug, Clone, Serialize)]
-pub struct IngestLedgerRow {
-    /// Row schema tag ([`INGEST_LEDGER_SCHEMA`]).
-    pub schema: String,
-    /// The run's `--scale`.
-    pub scale: f64,
-    /// The run's `--seed`.
-    pub seed: u64,
-    /// The run's `--parallelism`.
-    pub parallelism: usize,
-    /// Rows per replayed chunk (`--chunk-rows`).
-    pub chunk_rows: usize,
-    /// Sealed-segment size threshold (`--seal-rows`).
-    pub seal_rows: usize,
-    /// Chunks appended across all campaign streams.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all stores after freeze.
-    pub segments: usize,
-    /// FNV-1a hash of the artifact file set, as 16 hex digits —
-    /// comparable against batch rows and the pinned golden value.
-    pub artifact_hash: String,
-    /// Files in the hashed artifact set.
-    pub artifact_files: usize,
-    /// Artifacts produced (placeholders included).
-    pub artifacts: usize,
-    /// Headline numbers produced.
-    pub headlines: usize,
-    /// Render jobs that failed both attempts.
-    pub jobs_failed: usize,
-    /// Render jobs that survived on their retry.
-    pub jobs_retried: usize,
-    /// Records the sanitizer passed through untouched.
-    pub records_clean: u64,
-    /// Records the sanitizer repaired.
-    pub records_repaired: u64,
-    /// Records the sanitizer quarantined.
-    pub records_quarantined: u64,
-    /// Wall-clock seconds of the generate stage.
-    pub generate_s: f64,
-    /// Wall-clock seconds of the ingest stage (chunk replay + freeze).
-    pub ingest_s: f64,
-    /// Wall-clock seconds of the fit stage.
-    pub fit_s: f64,
-    /// Wall-clock seconds of the derive stage.
-    pub derive_s: f64,
-    /// Wall-clock seconds of the render stage.
-    pub render_s: f64,
-    /// Ingest throughput, rows per wall-clock second (wall-clock class).
-    pub rows_per_s: f64,
-}
-
-impl IngestLedgerRow {
-    /// Summarize one completed ingest replay.
-    pub fn from_report(
-        report: &ReproReport,
-        parallelism: usize,
-        chunk_rows: usize,
-        seal_rows: usize,
-        ingest: &crate::IngestStats,
-    ) -> IngestLedgerRow {
-        let (hash, files) = artifact_hash(&report.artifacts);
-        let s = &report.health.sanitize;
-        IngestLedgerRow {
-            schema: INGEST_LEDGER_SCHEMA.to_string(),
-            scale: report.scale,
-            seed: report.seed,
-            parallelism,
-            chunk_rows,
-            seal_rows,
-            chunks: ingest.chunks,
-            rows: ingest.rows,
-            segments: ingest.segments,
-            artifact_hash: format!("{hash:016x}"),
-            artifact_files: files,
-            artifacts: report.artifacts.len(),
-            headlines: report.headlines.len(),
-            jobs_failed: report.health.jobs_failed,
-            jobs_retried: report.health.jobs_retried,
-            records_clean: s.clean,
-            records_repaired: s.repaired,
-            records_quarantined: s.quarantined,
-            generate_s: report.timings.generate_s,
-            ingest_s: ingest.ingest_s,
-            fit_s: report.timings.fit_s,
-            derive_s: report.timings.derive_s,
-            render_s: report.timings.render_s,
-            rows_per_s: if ingest.ingest_s > 0.0 {
-                ingest.rows as f64 / ingest.ingest_s
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// One `serve` run's summary row (schema [`SERVE_LEDGER_SCHEMA`]).
-/// `artifact_hash` uses the same FNV-1a scheme as every other row kind,
-/// so a serve row is batch-comparable: equal hashes mean the service's
-/// final epoch republished the batch artifact set byte for byte.
-/// `chunks`, `rows`, `segments`, and `epochs` are deterministic for a
-/// given (code, scale, seed, chunk plan, epoch size) tuple — epochs in
-/// particular because boundary crossings telescope to
-/// `floor(accepted / epoch_rows) + 1` regardless of interleave or
-/// parallelism. The stage durations and `rows_per_s` (sustained ingest
-/// throughput through the service path) are wall-clock class.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeLedgerRow {
-    /// Row schema tag ([`SERVE_LEDGER_SCHEMA`]).
-    pub schema: String,
-    /// The run's `--scale`.
-    pub scale: f64,
-    /// The run's `--seed`.
-    pub seed: u64,
-    /// The run's `--parallelism`.
-    pub parallelism: usize,
-    /// Rows per streamed chunk (`--chunk-rows`).
-    pub chunk_rows: usize,
-    /// Sealed-segment size threshold (`--seal-rows`).
-    pub seal_rows: usize,
-    /// Accepted rows per published epoch (`--epoch-rows`).
-    pub epoch_rows: usize,
-    /// Chunks streamed through the service.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all frozen stores after drain.
-    pub segments: u64,
-    /// Epochs published (warm crossings plus the final epoch).
-    pub epochs: u64,
-    /// FNV-1a hash of the artifact file set, as 16 hex digits —
-    /// comparable against batch and ingest rows and the pinned golden
-    /// value.
-    pub artifact_hash: String,
-    /// Files in the hashed artifact set.
-    pub artifact_files: usize,
-    /// Artifacts produced (placeholders included).
-    pub artifacts: usize,
-    /// Headline numbers produced.
-    pub headlines: usize,
-    /// Render jobs that failed both attempts.
-    pub jobs_failed: usize,
-    /// Render jobs that survived on their retry.
-    pub jobs_retried: usize,
-    /// Records the sanitizer passed through untouched.
-    pub records_clean: u64,
-    /// Records the sanitizer repaired.
-    pub records_repaired: u64,
-    /// Records the sanitizer quarantined.
-    pub records_quarantined: u64,
-    /// Wall-clock seconds of the generate stage.
-    pub generate_s: f64,
-    /// Wall-clock seconds of the streaming stage (chunks + drain).
-    pub ingest_s: f64,
-    /// Wall-clock seconds of the fit stage.
-    pub fit_s: f64,
-    /// Wall-clock seconds of the derive stage.
-    pub derive_s: f64,
-    /// Wall-clock seconds of the render stage.
-    pub render_s: f64,
-    /// Sustained ingest throughput, rows per wall-clock second
-    /// (wall-clock class).
-    pub rows_per_s: f64,
-}
-
-impl ServeLedgerRow {
-    /// Summarize one completed serve run. `epochs` should count the
-    /// final epoch too (i.e. the value *after* `publish_final`).
-    pub fn from_report(
-        report: &ReproReport,
-        parallelism: usize,
-        chunk_rows: usize,
-        seal_rows: usize,
-        epoch_rows: usize,
-        stats: &crate::ServeStats,
-        epochs: u64,
-    ) -> ServeLedgerRow {
-        let (hash, files) = artifact_hash(&report.artifacts);
-        let s = &report.health.sanitize;
-        ServeLedgerRow {
-            schema: SERVE_LEDGER_SCHEMA.to_string(),
-            scale: report.scale,
-            seed: report.seed,
-            parallelism,
-            chunk_rows,
-            seal_rows,
-            epoch_rows,
-            chunks: stats.chunks,
-            rows: stats.rows,
-            segments: stats.segments,
-            epochs,
-            artifact_hash: format!("{hash:016x}"),
-            artifact_files: files,
-            artifacts: report.artifacts.len(),
-            headlines: report.headlines.len(),
-            jobs_failed: report.health.jobs_failed,
-            jobs_retried: report.health.jobs_retried,
-            records_clean: s.clean,
-            records_repaired: s.repaired,
-            records_quarantined: s.quarantined,
-            generate_s: report.timings.generate_s,
-            ingest_s: stats.ingest_s,
-            fit_s: report.timings.fit_s,
-            derive_s: report.timings.derive_s,
-            render_s: report.timings.render_s,
-            rows_per_s: if stats.ingest_s > 0.0 { stats.rows as f64 / stats.ingest_s } else { 0.0 },
+            stream,
         }
     }
 }
@@ -625,10 +428,13 @@ impl LedgerTail {
         &self.path
     }
 
-    /// Batch-comparable rows completed since the last poll. `st-load/v1`
-    /// rows share the file but have no artifact surface, so they are
-    /// skipped rather than errors; any other unparseable row is an
-    /// error naming the file. A file that shrank (rotation) restarts
+    /// Run rows completed since the last poll. `st-load/v1` rows share
+    /// the file but have no artifact surface, so they are skipped rather
+    /// than errors. Any other row it cannot read (bad JSON, or a run row
+    /// of a schema before `st-run/v2`) is reported once as an error and
+    /// then stepped over: the rows finished before it come back first,
+    /// the next poll returns its error, and the poll after that goes on
+    /// with the rows behind it. A file that shrank (rotation) restarts
     /// the tail from the top.
     pub fn poll(&mut self) -> Result<Vec<LedgerRow>, String> {
         use std::io::{Read, Seek, SeekFrom};
@@ -648,16 +454,29 @@ impl LedgerTail {
         let mut consumed = 0usize;
         while let Some(nl) = buf[consumed..].find('\n') {
             let line = buf[consumed..consumed + nl].trim();
+            let start = consumed;
             consumed += nl + 1;
             if line.is_empty() {
                 continue;
             }
-            let v: Value = serde_json::from_str(line)
-                .map_err(|e| format!("{}: bad ledger row: {e}", self.path.display()))?;
-            if v.get("schema").and_then(Value::as_str) == Some(LOAD_LEDGER_SCHEMA) {
-                continue;
+            let parsed = match serde_json::from_str(line) {
+                Ok(v) if v.get("schema").and_then(Value::as_str) == Some(LOAD_LEDGER_SCHEMA) => {
+                    continue
+                }
+                Ok(v) => LedgerRow::from_value(&v),
+                Err(e) => Err(format!("{}: bad ledger row: {e}", self.path.display())),
+            };
+            match parsed {
+                Ok(row) => rows.push(row),
+                Err(_) if !rows.is_empty() => {
+                    consumed = start;
+                    break;
+                }
+                Err(e) => {
+                    self.offset += consumed as u64;
+                    return Err(e);
+                }
             }
-            rows.push(LedgerRow::from_value(&v)?);
         }
         self.offset += consumed as u64;
         Ok(rows)
@@ -697,25 +516,7 @@ mod tests {
         let path = dir.join("BENCH_ledger.jsonl");
         let _ = std::fs::remove_file(&path);
 
-        let mut row = LedgerRow {
-            schema: LEDGER_SCHEMA.to_string(),
-            scale: 0.004,
-            seed: 2024,
-            parallelism: 1,
-            artifact_hash: format!("{:016x}", 0xabcdu64),
-            artifact_files: 89,
-            artifacts: 40,
-            headlines: 12,
-            jobs_failed: 0,
-            jobs_retried: 0,
-            records_clean: 1000,
-            records_repaired: 0,
-            records_quarantined: 0,
-            generate_s: 1.0,
-            fit_s: 2.0,
-            derive_s: 0.1,
-            render_s: 3.0,
-        };
+        let mut row = sample_row();
         append_ledger(&path, &row).expect("first append");
         row.parallelism = 4;
         append_ledger(&path, &row).expect("second append");
@@ -723,8 +524,10 @@ mod tests {
         let rows = read_ledger(&path).expect("ledger parses");
         assert_eq!(rows.len(), 2, "append-only: both rows survive");
         for r in &rows {
-            assert_eq!(r.get("schema").and_then(Value::as_str), Some(LEDGER_SCHEMA));
+            assert_eq!(r.get("schema").and_then(Value::as_str), Some(RUN_LEDGER_SCHEMA));
+            assert_eq!(r.get("command").and_then(Value::as_str), Some("repro"));
             assert_eq!(r.get("artifact_files").and_then(Value::as_u64), Some(89));
+            assert_eq!(r.get("stream"), Some(&Value::Null), "a batch row has no stream");
         }
         assert_eq!(rows[0].get("parallelism").and_then(Value::as_u64), Some(1));
         assert_eq!(rows[1].get("parallelism").and_then(Value::as_u64), Some(4));
@@ -733,7 +536,8 @@ mod tests {
 
     fn sample_row() -> LedgerRow {
         LedgerRow {
-            schema: LEDGER_SCHEMA.to_string(),
+            schema: RUN_LEDGER_SCHEMA.to_string(),
+            command: "repro".to_string(),
             scale: 0.004,
             seed: 2024,
             parallelism: 1,
@@ -750,36 +554,36 @@ mod tests {
             fit_s: 2.0,
             derive_s: 0.1,
             render_s: 3.0,
+            stream: None,
+        }
+    }
+
+    fn sample_stream() -> StreamStats {
+        StreamStats {
+            chunk_rows: 500,
+            seal_rows: 4096,
+            epoch_rows: 8192,
+            chunks: 9,
+            rows: 100,
+            segments: 14,
+            epochs: 2,
+            ingest_s: 0.5,
+            rows_per_s: 200.0,
         }
     }
 
     #[test]
-    fn parse_round_trips_every_batch_comparable_schema() {
-        let mut row = sample_row();
-        for schema in BATCH_COMPARABLE_SCHEMAS {
-            row.schema = schema.to_string();
+    fn parse_round_trips_batch_and_stream_rows() {
+        let batch = sample_row();
+        let serve = LedgerRow {
+            command: "serve".to_string(),
+            stream: Some(sample_stream()),
+            ..sample_row()
+        };
+        for row in [batch, serve] {
             let line = serde_json::to_string(&row).expect("row serializes");
-            let back = LedgerRow::parse(&line).expect("row parses back");
-            assert_eq!(back.schema, *schema, "the actual schema tag is kept");
-            assert_eq!(back.seed, row.seed);
-            assert_eq!(back.artifact_hash, row.artifact_hash);
-            assert_eq!(back.records_clean, 1000);
+            assert_eq!(LedgerRow::parse(&line).expect("row parses back"), row);
         }
-        // Superset rows (ingest/serve) parse down to the common subset:
-        // extra fields are simply ignored.
-        let line = format!(
-            "{{\"schema\":\"{INGEST_LEDGER_SCHEMA}\",\"scale\":0.05,\"seed\":7,\
-             \"parallelism\":4,\"chunk_rows\":500,\"seal_rows\":4096,\"chunks\":9,\
-             \"rows\":100,\"segments\":2,\"artifact_hash\":\"00000000000000aa\",\
-             \"artifact_files\":89,\"artifacts\":40,\"headlines\":12,\
-             \"jobs_failed\":0,\"jobs_retried\":0,\"records_clean\":98,\
-             \"records_repaired\":1,\"records_quarantined\":1,\"generate_s\":1.0,\
-             \"ingest_s\":0.5,\"fit_s\":2.0,\"derive_s\":0.1,\"render_s\":3.0,\
-             \"rows_per_s\":200.0}}"
-        );
-        let back = LedgerRow::parse(&line).expect("ingest row parses");
-        assert_eq!(back.schema, INGEST_LEDGER_SCHEMA);
-        assert_eq!(back.records_clean, 98);
     }
 
     #[test]
@@ -789,23 +593,38 @@ mod tests {
         assert!(LedgerRow::parse("{\"schema\":\"st-mystery/v9\"}")
             .unwrap_err()
             .contains("unknown ledger schema"));
+        // A row from before the run row was unified is not read either.
+        let v1 = serde_json::to_string(&sample_row())
+            .unwrap()
+            .replace(RUN_LEDGER_SCHEMA, "st-ledger/v1");
+        assert!(LedgerRow::parse(&v1).unwrap_err().contains("unknown ledger schema"));
         assert!(LedgerRow::parse("{\"seed\":1}").unwrap_err().contains("schema"));
         assert!(LedgerRow::parse("not json").unwrap_err().contains("bad ledger JSON"));
         // A known schema with missing fields names the first one it
         // needed (the hash is extracted before the counters).
-        let torn = format!("{{\"schema\":\"{LEDGER_SCHEMA}\",\"scale\":0.004}}");
+        let torn = format!("{{\"schema\":\"{RUN_LEDGER_SCHEMA}\",\"scale\":0.004}}");
         assert!(LedgerRow::parse(&torn).unwrap_err().contains("artifact_hash"));
+        // The stream section is required (null for batch), and a present
+        // section must be whole.
+        let line = serde_json::to_string(&sample_row()).unwrap();
+        let no_stream = line.replace(",\"stream\":null", "");
+        assert!(LedgerRow::parse(&no_stream).unwrap_err().contains("`stream`"));
+        let torn_stream = line.replace("\"stream\":null", "\"stream\":{\"chunk_rows\":500}");
+        assert!(LedgerRow::parse(&torn_stream).unwrap_err().contains("seal_rows"));
     }
 
     #[test]
     fn drift_flags_fire_on_divergence_and_stay_silent_across_run_kinds() {
         let baseline = sample_row();
-        // Same deterministic surface, different run kind, different
-        // parallelism, different timings: no drift.
-        let mut serve = sample_row();
-        serve.schema = SERVE_LEDGER_SCHEMA.to_string();
-        serve.parallelism = 4;
-        serve.render_s = 99.0;
+        // Same deterministic surface, different command, different
+        // parallelism, a stream section, different timings: no drift.
+        let serve = LedgerRow {
+            command: "serve".to_string(),
+            parallelism: 4,
+            render_s: 99.0,
+            stream: Some(sample_stream()),
+            ..sample_row()
+        };
         assert_eq!(serve.drift_against(&baseline), Vec::<String>::new());
         // Divergent counters, hash, and seed each produce a flag.
         let mut bad = sample_row();
@@ -849,6 +668,37 @@ mod tests {
         drop(file);
         let rows = tail.poll().expect("completed line poll");
         assert_eq!(rows.len(), 1, "exactly the finished row, the load row skipped");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_reports_an_unreadable_row_once_and_reads_on_past_it() {
+        use std::io::Write as _;
+        let dir = std::env::temp_dir().join(format!("st-tail-skip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("BENCH_ledger.jsonl");
+        let _ = std::fs::remove_file(&path);
+
+        // An output directory from before `st-run/v2` holds an old row;
+        // the runs after it append v2 rows behind it.
+        let v1 = serde_json::to_string(&sample_row())
+            .unwrap()
+            .replace(RUN_LEDGER_SCHEMA, "st-ledger/v1");
+        append_ledger(&path, &sample_row()).expect("append");
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("reopen ledger");
+        writeln!(file, "{v1}").unwrap();
+        writeln!(file, "not json").unwrap();
+        drop(file);
+        append_ledger(&path, &LedgerRow { seed: 7, ..sample_row() }).expect("append");
+
+        let mut tail = LedgerTail::new(&path);
+        let rows = tail.poll().expect("the row before the old one");
+        assert_eq!(rows.iter().map(|r| r.seed).collect::<Vec<_>>(), vec![2024]);
+        assert!(tail.poll().unwrap_err().contains("unknown ledger schema"));
+        assert!(tail.poll().unwrap_err().contains("bad ledger row"));
+        let rows = tail.poll().expect("the v2 row behind the bad ones");
+        assert_eq!(rows.iter().map(|r| r.seed).collect::<Vec<_>>(), vec![7]);
+        assert_eq!(tail.poll().expect("steady state").len(), 0, "each row read once");
         let _ = std::fs::remove_file(&path);
     }
 }

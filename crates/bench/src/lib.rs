@@ -1,14 +1,18 @@
-//! Shared driver used by the `repro` binary and the Criterion benches.
+//! The one run path behind the `repro`, `ingest` and `serve` binaries.
 //!
-//! [`run_all`] regenerates every table and figure of the paper at a chosen
-//! scale and returns the artifacts; the binary writes them to disk, the
-//! benches time individual pieces.
+//! [`build_analyses_observed`] generates the four city datasets and fits
+//! the per-campaign BST models; [`run_all_observed`] regenerates every
+//! table and figure of the paper from them. [`build_analyses_serve`] is
+//! the replay front-end: the same generated campaigns stream through an
+//! [`st_serve::ContextService`] as seed-scheduled chunks before the same
+//! fit, derive and render stages. `ingest` is that replay without a
+//! listener; `serve` adds the query API and the final epoch.
+//! [`output::write_run`] writes what any of the three produced.
 //!
-//! Every stage has a parallel variant (`build_analyses_par`,
-//! `run_all_par`) built on the deterministic chunked engine of
-//! [`st_datagen::par`]: the report is byte-identical at every
-//! parallelism level, only the wall-clock changes. Per-stage timings are
-//! carried on [`ReproReport::timings`].
+//! Every stage fans out over up to `parallelism` workers on the
+//! deterministic chunked engine of [`st_datagen::par`]: the report is
+//! byte-identical at every parallelism level, only the wall-clock
+//! changes. Per-stage timings are carried on [`ReproReport::timings`].
 //!
 //! The pipeline is **supervised** end to end (see DESIGN.md §"Fault
 //! taxonomy and supervision contract"):
@@ -24,31 +28,30 @@
 //!   [`RunHealth::is_degraded`] lets the binary exit nonzero on it.
 //!
 //! The pipeline is also **observable** (DESIGN.md §"Observability"):
-//! [`build_analyses_observed`] and [`run_all_observed`] thread an
-//! [`st_obs::Registry`] through every stage. Each parallel unit (city,
-//! campaign store, render job) records into its own sub-registry; the
-//! coordinator merges them in fixed city/job order — the same fold as
-//! the sanitize counters — so the deterministic metric class is
-//! byte-identical at every parallelism level. Stage wall-clocks come
-//! from the `generate`/`fit`/`derive`/`render` span tree, which keeps
-//! feeding the same four numbers into [`StageTimings`] for
-//! `BENCH_timings.json`. Observation is read-only: artifacts are
+//! both builders and [`run_all_observed`] thread an [`st_obs::Registry`]
+//! through every stage ([`Registry::disabled`] when nothing reads it).
+//! Each parallel unit (city, campaign store, render job) records into
+//! its own sub-registry; the coordinator merges them in fixed city/job
+//! order — the same fold as the sanitize counters — so the deterministic
+//! metric class is byte-identical at every parallelism level. Stage
+//! wall-clocks come from the `generate`/`fit`/`derive`/`render` span
+//! tree, which keeps feeding the same four numbers into
+//! [`StageTimings`]. Observation is read-only: artifacts are
 //! byte-identical with the registry enabled or disabled.
 //!
-//! Finally the pipeline has an **incremental front-end** (DESIGN.md
-//! §"Segmented store"): [`build_analyses_ingest`] replays each
-//! generated campaign into a [`st_speedtest::SegmentedStore`] as a
-//! seed-scheduled stream of [`IngestOptions::chunk_rows`]-row chunks,
-//! sanitizing per chunk and sealing immutable segments as the tail
-//! fills. Segment boundaries are a pure function of the accepted-row
-//! sequence and the seal threshold, so the rendered artifacts are
-//! byte-identical to the batch path for any chunk plan — the
-//! `ingest_identity` test pins the replay to the batch golden hash.
+//! The replay front-end (DESIGN.md §"Segmented store") splits each
+//! campaign into chunks, sanitizes per chunk inside the service and seals
+//! immutable segments as each stream's tail fills. Segment boundaries are
+//! a pure function of the accepted-row sequence and the seal threshold,
+//! so the rendered artifacts are byte-identical to the batch path for any
+//! chunk plan — the `run_identity` test pins both front-ends to one
+//! golden hash.
 
 pub mod claims;
 pub mod cli;
 pub mod diff;
 pub mod ledger;
+pub mod output;
 
 use serde::Serialize;
 use st_analysis::{
@@ -57,7 +60,7 @@ use st_analysis::{
 };
 use st_datagen::{City, CityConfig, CityDataset, DirtyScenario};
 use st_obs::{MetricsSnapshot, Registry};
-use st_serve::{ContextService, ServeError, WarmInput, WarmOutput, WarmRenderer};
+use st_serve::{ContextService, PartitionSpec, ServeError, WarmInput, WarmOutput, WarmRenderer};
 use st_speedtest::{sanitize, Measurement, SanitizeReport, SegmentedStore};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,13 +144,12 @@ pub struct ReproReport {
     pub timings: StageTimings,
     /// Supervision and sanitization outcome.
     pub health: RunHealth,
-    /// Metrics snapshot of the run, when it was driven through
-    /// [`run_all_observed`] with an enabled registry. `None` on the
-    /// plain entry points.
+    /// Metrics snapshot of the run, when [`run_all_observed`] ran with
+    /// an enabled registry; `None` with [`Registry::disabled`].
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Supervision knobs for [`run_all_supervised`].
+/// Supervision knobs for [`run_all_observed`].
 #[derive(Debug, Clone)]
 pub struct SuperviseOptions {
     /// Worker threads for the render stage.
@@ -249,55 +251,24 @@ fn density_artifact(d: &st_analysis::results::DensityResult) -> Artifact {
     }
 }
 
-/// Generate all four cities and fit the per-campaign BST models.
-pub fn build_analyses(scale: f64, seed: u64) -> Arc<Vec<CityAnalysis>> {
-    build_analyses_par(scale, seed, 1).0
-}
-
-/// Like [`build_analyses`], with the four generate jobs and then the four
-/// fit jobs spread over up to `parallelism` worker threads. Leftover
-/// workers parallelize *inside* each city's campaign loops.
+/// Generate all four cities, optionally corrupt the campaigns with
+/// `dirty` (ground-truth labeled dirty records, see
+/// [`st_datagen::faults`]), run every record through the sanitizer, and
+/// fit BST on what survives — the batch front-end. The four generate
+/// jobs and then the four fit jobs spread over up to `parallelism`
+/// worker threads; leftover workers parallelize *inside* each city's
+/// campaign loops.
 ///
-/// Output is identical at every parallelism level; the returned
-/// [`StageTimings`] has the generate and fit wall-clocks filled in
-/// (`render_s` stays 0 until [`run_all_par`]).
-pub fn build_analyses_par(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings) {
-    let (analyses, timings, _) = build_analyses_sanitized(scale, seed, parallelism, None);
-    (analyses, timings)
-}
-
-/// The fault-tolerant analysis builder: generate the four cities,
-/// optionally corrupt the campaigns with `dirty` (ground-truth labeled
-/// dirty records, see [`st_datagen::faults`]), run every record through
-/// the sanitizer, and fit BST on what survives.
-///
-/// The sanitize counters are merged across cities in city order, so the
-/// returned [`SanitizeReport`] — like the datasets themselves — is
-/// identical at every parallelism level.
-pub fn build_analyses_sanitized(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    dirty: Option<&DirtyScenario>,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport) {
-    build_analyses_observed(scale, seed, parallelism, dirty, &Registry::disabled())
-}
-
-/// Like [`build_analyses_sanitized`], recording pipeline metrics and
-/// stage spans into `obs` (see DESIGN.md §"Observability").
-///
-/// Each city runs against its own sub-registry inside the worker
-/// closure; the coordinator merges the four sub-registries **in city
-/// order** — exactly how the [`SanitizeReport`]s are folded — so every
-/// deterministic metric (record counts, quarantine tallies, EM
-/// iterations, KDE grid evaluations, ...) is byte-identical at every
-/// parallelism level. Wall-clock spans (`generate`, `fit`, `derive`,
-/// plus one child per city) are recorded too but excluded from that
-/// contract.
+/// Each city runs against its own sub-registry of `obs` inside the
+/// worker closure; the coordinator merges the four sub-registries **in
+/// city order** — exactly how the [`SanitizeReport`]s are folded — so
+/// every deterministic metric (record counts, quarantine tallies, EM
+/// iterations, KDE grid evaluations, ...) and the returned report are
+/// byte-identical at every parallelism level. Wall-clock spans
+/// (`generate`, `fit`, `derive`, plus one child per city) are recorded
+/// too but excluded from that contract; the returned [`StageTimings`]
+/// has the generate, fit and derive wall-clocks filled in (`render_s`
+/// stays 0 until [`run_all_observed`]).
 ///
 /// Observation is read-only: the returned analyses are byte-identical
 /// whether `obs` is enabled or [`Registry::disabled`].
@@ -309,15 +280,52 @@ pub fn build_analyses_observed(
     obs: &Registry,
 ) -> (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport) {
     let parallelism = parallelism.max(1);
-    let cities = City::all();
-    let city_workers = parallelism.min(cities.len());
-    // Workers beyond one-per-city go into each city's chunked loops.
-    let inner = parallelism.div_ceil(city_workers);
-    let dirty = dirty.copied();
+    let (datasets, sanitize_total, generate_s) =
+        generate_stage(scale, seed, parallelism, dirty, true, obs);
+    let (analyses, fit_s) = fit_stage(
+        datasets.into_iter().map(|ds| (ds.config.city, ds)).collect(),
+        seed,
+        parallelism,
+        obs,
+        CityAnalysis::new_observed,
+    );
+    let derive_s = derive_stage(&analyses, parallelism, obs);
+    (
+        Arc::new(analyses),
+        StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
+        sanitize_total,
+    )
+}
 
+/// City-level workers at `parallelism`, and the workers left for each
+/// city's inner loops.
+fn city_workers(parallelism: usize) -> (usize, usize) {
+    let workers = parallelism.min(City::all().len());
+    (workers, parallelism.div_ceil(workers))
+}
+
+/// The generate stage of both front-ends: one [`CityDataset`] per city,
+/// each generated under a `generate/<City>` span against its own
+/// sub-registry, merged back in city order.
+///
+/// The batch front-end passes `whole_campaign_sanitize`: the campaigns
+/// are corrupted with `dirty` (when given) and sanitized whole inside
+/// this stage, and the returned [`SanitizeReport`] merges the per-city
+/// reports in city order. The replay leaves the campaigns raw — the
+/// service sanitizes them per chunk — and gets an empty report.
+fn generate_stage(
+    scale: f64,
+    seed: u64,
+    parallelism: usize,
+    dirty: Option<&DirtyScenario>,
+    whole_campaign_sanitize: bool,
+    obs: &Registry,
+) -> (Vec<CityDataset>, SanitizeReport, f64) {
+    let (workers, inner) = city_workers(parallelism);
+    let dirty = dirty.copied();
     obs.event("stage.start", "lifecycle", &[("stage", "generate")]);
     let gen_span = obs.span("generate");
-    let prepared = par_map(cities.to_vec(), city_workers, |_, city| {
+    let prepared = par_map(City::all().to_vec(), workers, |_, city| {
         let sub = obs.sub();
         let city_span = sub.span(&format!("generate/{}", city.label()));
         let mut ds = CityDataset::generate_with_parallelism(city, scale, seed, inner);
@@ -326,15 +334,16 @@ pub fn build_analyses_observed(
         if let Some(labels) = &dirty_labels {
             ds.observe_dirty(&sub, labels);
         }
-        let city_label = ds.config.city.label();
         let mut report = SanitizeReport::default();
-        for (campaign, records) in
-            [("ookla", &mut ds.ookla), ("mlab", &mut ds.mlab), ("mba", &mut ds.mba)]
-        {
-            let (kept, r) = sanitize(std::mem::take(records));
-            *records = kept;
-            r.record(&sub, &[("campaign", campaign), ("city", city_label)]);
-            report.merge(&r);
+        if whole_campaign_sanitize {
+            for (campaign, records) in
+                [("ookla", &mut ds.ookla), ("mlab", &mut ds.mlab), ("mba", &mut ds.mba)]
+            {
+                let (kept, r) = sanitize(std::mem::take(records));
+                *records = kept;
+                r.record(&sub, &[("campaign", campaign), ("city", city.label())]);
+                report.merge(&r);
+            }
         }
         city_span.stop();
         (ds, report, sub)
@@ -343,48 +352,55 @@ pub fn build_analyses_observed(
     obs.event("stage.end", "lifecycle", &[("stage", "generate")]);
 
     let mut sanitize_total = SanitizeReport::default();
-    let mut datasets: Vec<CityDataset> = Vec::with_capacity(prepared.len());
+    let mut datasets = Vec::with_capacity(prepared.len());
     for (ds, report, sub) in prepared {
         sanitize_total.merge(&report);
         obs.merge(&sub);
         datasets.push(ds);
     }
+    (datasets, sanitize_total, generate_s)
+}
 
+/// The fit stage of both front-ends: `fit` builds one [`CityAnalysis`]
+/// per city on the city workers, each under a `fit/<City>` span against
+/// its own sub-registry, merged back in city order. Every front-end
+/// fits with the batch seed derivation (`seed ^ 0x5eed`), which is what
+/// makes the service's final fit the batch fit.
+fn fit_stage<T: Send>(
+    inputs: Vec<(City, T)>,
+    seed: u64,
+    parallelism: usize,
+    obs: &Registry,
+    fit: impl Fn(T, u64, &Registry) -> CityAnalysis + Sync,
+) -> (Vec<CityAnalysis>, f64) {
     obs.event("stage.start", "lifecycle", &[("stage", "fit")]);
     let fit_span = obs.span("fit");
-    let fitted = par_map(datasets, city_workers, |_, ds| {
+    let fitted = par_map(inputs, city_workers(parallelism).0, |_, (city, input)| {
         let sub = obs.sub();
-        let city_span = sub.span(&format!("fit/{}", ds.config.city.label()));
-        let analysis = CityAnalysis::new_observed(ds, seed ^ 0x5eed, &sub);
+        let city_span = sub.span(&format!("fit/{}", city.label()));
+        let analysis = fit(input, seed ^ 0x5eed, &sub);
         city_span.stop();
         (analysis, sub)
     });
     let fit_s = fit_span.stop();
     obs.event("stage.end", "lifecycle", &[("stage", "fit")]);
-    let mut analyses: Vec<CityAnalysis> = Vec::with_capacity(fitted.len());
+    let mut analyses = Vec::with_capacity(fitted.len());
     for (analysis, sub) in fitted {
         obs.merge(&sub);
         analyses.push(analysis);
     }
-
-    let derive_s = derive_stage(&analyses, parallelism, obs);
-
-    (
-        Arc::new(analyses),
-        StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
-        sanitize_total,
-    )
+    (analyses, fit_s)
 }
 
-/// The derive stage shared by the batch and ingest builders: materialize
-/// every store's lazy derived columns up front so the render jobs only
-/// ever read memoized slices. Each column is a pure function of the base
-/// columns, so building them in parallel (one job per campaign, city
-/// order preserved by `par_map`) cannot change their contents.
+/// The derive stage of both front-ends: materialize every store's lazy
+/// derived columns up front so the render jobs only ever read memoized
+/// slices. Each column is a pure function of the base columns, so
+/// building them in parallel (one job per campaign, city order preserved
+/// by `par_map`) cannot change their contents.
 fn derive_stage(analyses: &[CityAnalysis], parallelism: usize, obs: &Registry) -> f64 {
     obs.event("stage.start", "lifecycle", &[("stage", "derive")]);
     let derive_span = obs.span("derive");
-    let stores: Vec<(&str, &str, &st_speedtest::SegmentedStore)> = analyses
+    let stores: Vec<(&str, &str, &SegmentedStore)> = analyses
         .iter()
         .flat_map(|a| {
             let city = a.config.city.label();
@@ -405,35 +421,7 @@ fn derive_stage(analyses: &[CityAnalysis], parallelism: usize, obs: &Registry) -
     derive_s
 }
 
-/// Knobs of the incremental ingest front-end ([`build_analyses_ingest`]).
-#[derive(Debug, Clone, Copy)]
-pub struct IngestOptions {
-    /// Rows per replayed chunk.
-    pub chunk_rows: usize,
-    /// Sealed-segment size threshold of each store's mutable tail.
-    pub seal_rows: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions { chunk_rows: 2048, seal_rows: st_speedtest::DEFAULT_SEAL_ROWS }
-    }
-}
-
-/// What the ingest stage did, summed over all campaign streams.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct IngestStats {
-    /// Chunks appended across the twelve campaign streams.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all stores after `freeze`.
-    pub segments: usize,
-    /// Wall-clock seconds of the ingest stage.
-    pub ingest_s: f64,
-}
-
-/// SplitMix64 step — the ingest scheduler's whole PRNG. Keeping it local
+/// SplitMix64 step — the replay scheduler's whole PRNG. Keeping it local
 /// (rather than an `StdRng`) pins the chunk interleave to a documented
 /// three-line recurrence that cannot drift under a rand upgrade.
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -445,8 +433,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Split one campaign's records into `chunk_rows`-row chunks, preserving
-/// stream order. Shared by the `ingest` replay and the serve replay so
-/// both front-ends see the exact same chunk plan.
+/// stream order — the replay's chunk plan.
 pub fn split_chunks(records: Vec<Measurement>, chunk_rows: usize) -> VecDeque<Vec<Measurement>> {
     assert!(chunk_rows > 0, "chunk_rows must be >= 1");
     let mut chunks = VecDeque::new();
@@ -462,10 +449,9 @@ pub fn split_chunks(records: Vec<Measurement>, chunk_rows: usize) -> VecDeque<Ve
 
 /// The seed-scheduled chunk interleave of one city's campaign streams —
 /// a pure function of `(seed, city index, pick sequence)`; worker
-/// interleaving and wall-clock never feed into it. Both the `ingest`
-/// replay and the serve replay draw from this schedule, which is what
-/// makes their accepted-row sequences (and therefore the fitted models)
-/// identical.
+/// interleaving and wall-clock never feed into it, which is what makes
+/// the replay's accepted-row sequence (and therefore the fitted models)
+/// the same at every parallelism.
 #[derive(Debug, Clone)]
 pub struct ReplaySchedule {
     state: u64,
@@ -484,198 +470,41 @@ impl ReplaySchedule {
     }
 }
 
-/// Per-chunk ingest latency buckets, seconds (wall-clock class).
-const INGEST_CHUNK_BOUNDS: &[f64] =
-    &[0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1.0];
-
-/// Like [`build_analyses_observed`] on a pristine generator, but the
-/// campaigns are *replayed* into [`st_speedtest::SegmentedStore`]s as
-/// chunk streams instead of being wrapped wholesale: each city's three
-/// campaigns are split into `chunk_rows`-row chunks and appended in a
-/// seed-scheduled interleave (SplitMix64 over the live streams), running
-/// the sanitizer incrementally per chunk and sealing immutable segments
-/// every `seal_rows` accepted rows.
-///
-/// Chunking never reorders a store's own stream and the interleave is a
-/// pure function of `(seed, city, chunk plan)`, so the frozen stores hold
-/// exactly the accepted rows of the batch path and the fits — which
-/// consume gathered, contiguous values — are bit-identical: the rendered
-/// artifacts match the batch pipeline byte for byte at any `chunk_rows`,
-/// any `seal_rows`, and any `parallelism`.
-pub fn build_analyses_ingest(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    opts: IngestOptions,
-    obs: &Registry,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, IngestStats) {
-    assert!(opts.chunk_rows > 0, "chunk_rows must be >= 1");
-    let parallelism = parallelism.max(1);
-    let cities = City::all();
-    let city_workers = parallelism.min(cities.len());
-    let inner = parallelism.div_ceil(city_workers);
-
-    obs.event("stage.start", "lifecycle", &[("stage", "generate")]);
-    let gen_span = obs.span("generate");
-    let generated = par_map(cities.to_vec(), city_workers, |_, city| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("generate/{}", city.label()));
-        let ds = CityDataset::generate_with_parallelism(city, scale, seed, inner);
-        ds.observe(&sub);
-        city_span.stop();
-        (ds, sub)
-    });
-    let generate_s = gen_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "generate")]);
-    let mut datasets = Vec::with_capacity(generated.len());
-    for (ds, sub) in generated {
-        obs.merge(&sub);
-        datasets.push(ds);
-    }
-
-    obs.event("stage.start", "lifecycle", &[("stage", "ingest")]);
-    let ingest_span = obs.span("ingest");
-    let ingested = par_map(datasets, city_workers, |ci, ds| {
-        let sub = obs.sub();
-        let city = ds.config.city.label();
-        let city_span = sub.span(&format!("ingest/{city}"));
-        let CityDataset { config, ookla, mlab, mba, .. } = ds;
-
-        let mut streams = [
-            (
-                "ookla",
-                split_chunks(ookla, opts.chunk_rows),
-                SegmentedStore::builder(opts.seal_rows),
-            ),
-            ("mlab", split_chunks(mlab, opts.chunk_rows), SegmentedStore::builder(opts.seal_rows)),
-            ("mba", split_chunks(mba, opts.chunk_rows), SegmentedStore::builder(opts.seal_rows)),
-        ];
-
-        // The schedule is a pure function of (seed, city index, chunk
-        // plan); worker interleaving and wall-clock never feed into it.
-        let mut sched = ReplaySchedule::new(seed, ci);
-        let mut stats = IngestStats::default();
-        loop {
-            let live: Vec<usize> =
-                (0..streams.len()).filter(|&k| !streams[k].1.is_empty()).collect();
-            if live.is_empty() {
-                break;
-            }
-            let k = live[sched.pick(live.len())];
-            let (campaign, queue, store) = &mut streams[k];
-            let chunk = queue.pop_front().expect("stream is live");
-            let t0 = std::time::Instant::now();
-            let cs = store.append_chunk(chunk).expect("tail stores accept chunks until frozen");
-            sub.observe_wall(
-                "ingest.chunk_seconds",
-                &[("city", city)],
-                t0.elapsed().as_secs_f64(),
-                INGEST_CHUNK_BOUNDS,
-            );
-            sub.inc("ingest.chunks", &[("campaign", campaign), ("city", city)]);
-            for (outcome, n) in
-                [("clean", cs.clean), ("repaired", cs.repaired), ("quarantined", cs.quarantined)]
-            {
-                sub.add("ingest.rows", &[("outcome", outcome)], n);
-            }
-            stats.chunks += 1;
-            stats.rows += cs.rows_in as u64;
-        }
-
-        let mut report = SanitizeReport::default();
-        let mut stores = Vec::with_capacity(streams.len());
-        for (campaign, _, mut store) in streams {
-            store.freeze().expect("ingest freezes each store exactly once");
-            store.report().record(&sub, &[("campaign", campaign), ("city", city)]);
-            report.merge(store.report());
-            stats.segments += store.num_segments();
-            stores.push(store);
-        }
-        city_span.stop();
-        (config, stores, report, stats, sub)
-    });
-    let ingest_s = ingest_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "ingest")]);
-
-    let mut sanitize_total = SanitizeReport::default();
-    let mut stats_total = IngestStats { ingest_s, ..IngestStats::default() };
-    let mut prepared = Vec::with_capacity(ingested.len());
-    for (config, stores, report, stats, sub) in ingested {
-        obs.merge(&sub);
-        sanitize_total.merge(&report);
-        stats_total.chunks += stats.chunks;
-        stats_total.rows += stats.rows;
-        stats_total.segments += stats.segments;
-        prepared.push((config, stores));
-    }
-
-    let prepared = prepared
-        .into_iter()
-        .map(|(config, mut stores)| {
-            let mba = stores.pop().expect("three campaign stores");
-            let mlab = stores.pop().expect("three campaign stores");
-            let ookla = stores.pop().expect("three campaign stores");
-            (config, ookla, mlab, mba)
-        })
-        .collect();
-    let (analyses, fit_s) = fit_stage(prepared, seed, city_workers, obs);
-
-    let derive_s = derive_stage(&analyses, parallelism, obs);
-
-    (
-        Arc::new(analyses),
-        StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
-        sanitize_total,
-        stats_total,
-    )
-}
-
-/// The fit stage shared by the `ingest` replay and the serve replay:
-/// one [`CityAnalysis::from_stores`] per city (each against its own
-/// sub-registry, merged back in city order) with the batch fit seed
-/// derivation (`seed ^ 0x5eed`). Keeping this a single function is what
-/// lets the serve-identity suite claim the service's final fit *is* the
-/// batch fit.
-fn fit_stage(
-    prepared: Vec<(CityConfig, SegmentedStore, SegmentedStore, SegmentedStore)>,
-    seed: u64,
-    city_workers: usize,
-    obs: &Registry,
-) -> (Vec<CityAnalysis>, f64) {
-    obs.event("stage.start", "lifecycle", &[("stage", "fit")]);
-    let fit_span = obs.span("fit");
-    let fitted = par_map(prepared, city_workers, |_, (config, ookla, mlab, mba)| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("fit/{}", config.city.label()));
-        let analysis = CityAnalysis::from_stores(config, ookla, mlab, mba, seed ^ 0x5eed, &sub);
-        city_span.stop();
-        (analysis, sub)
-    });
-    let fit_s = fit_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "fit")]);
-    let mut analyses: Vec<CityAnalysis> = Vec::with_capacity(fitted.len());
-    for (analysis, sub) in fitted {
-        obs.merge(&sub);
-        analyses.push(analysis);
-    }
-    (analyses, fit_s)
-}
-
-/// What the serve replay did, summed over all campaign streams.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ServeStats {
+/// What a replay through the service did: its chunk, seal and epoch
+/// plan, the stream's counts, and its wall-clock. It is the `stream`
+/// section of the run's `st-run/v2` ledger row ([`ledger::LedgerRow`]).
+/// Every field but `ingest_s` and `rows_per_s` is deterministic for a
+/// given (code, scale, seed, plan) — `epochs` too, because boundary
+/// crossings telescope to `floor(accepted / epoch_rows)` whatever the
+/// interleave or parallelism.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+pub struct StreamStats {
+    /// Rows per replayed chunk (`--chunk-rows`).
+    pub chunk_rows: usize,
+    /// Sealed-segment size threshold of each stream (`--seal-rows`).
+    pub seal_rows: usize,
+    /// Accepted rows per published epoch (`--epoch-rows`).
+    pub epoch_rows: usize,
     /// Chunks streamed into the service.
     pub chunks: u64,
     /// Rows offered to the incremental sanitizer.
     pub rows: u64,
     /// Sealed segments across all frozen stores after drain.
     pub segments: u64,
-    /// Warm epochs published while streaming — a pure function of the
-    /// accepted-row total and the epoch size (the final epoch adds one
-    /// more at `publish_final`).
+    /// Epochs the service published: the warm crossings, plus the final
+    /// epoch once `serve` publishes it.
     pub epochs: u64,
     /// Wall-clock seconds of the streaming stage (chunks + drain).
     pub ingest_s: f64,
+    /// Ingest throughput, rows per wall-clock second.
+    pub rows_per_s: f64,
+}
+
+/// The partitions [`build_analyses_serve`] replays into: one
+/// deterministic partition per [`City::all`] entry, with the standard
+/// `ookla`/`mlab`/`mba` campaigns.
+pub fn city_partitions() -> Vec<PartitionSpec> {
+    City::all().iter().map(|c| PartitionSpec::city(c.label())).collect()
 }
 
 /// The warm-analysis renderer the `serve` binary injects into
@@ -685,7 +514,7 @@ pub struct ServeStats {
 /// — [`CityConfig::at_scale`] is pure — so the closure captures no
 /// dataset state. The fit seed is the batch derivation (`seed ^
 /// 0x5eed`): a warm fit over the *complete* sealed stream is the batch
-/// fit, which is what the serve-identity suite pins.
+/// fit, which is what the identity suite pins.
 pub fn make_warm_renderer(scale: f64, seed: u64) -> WarmRenderer {
     Arc::new(move |input: &WarmInput| {
         let mut analyses = Vec::new();
@@ -715,32 +544,29 @@ pub fn make_warm_renderer(scale: f64, seed: u64) -> WarmRenderer {
     })
 }
 
-/// What the serve replay hands back: the fitted analyses, stage
-/// timings, the deterministic-partition sanitize totals, and the
-/// stream statistics for the ledger row.
-pub type ServeBuildOutput = (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, ServeStats);
+/// What the replay hands back: the fitted analyses, stage timings, the
+/// deterministic-partition sanitize totals, and the stream statistics
+/// for the ledger row.
+pub type ServeBuildOutput = (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, StreamStats);
 
-/// Like [`build_analyses_ingest`], but the chunk stream flows through a
-/// running [`ContextService`] instead of thread-local stores: the same
-/// generated campaigns, the same [`split_chunks`] plan, the same
-/// [`ReplaySchedule`] interleave — only the appends go through the
-/// service's sharded ingest path (incremental sanitize, segment
+/// The replay front-end: the generate stage of
+/// [`build_analyses_observed`] without its whole-campaign sanitize, then
+/// every campaign streamed through `service` — split by
+/// [`split_chunks`], interleaved by [`ReplaySchedule`], appended through
+/// the service's sharded ingest path (incremental sanitize, segment
 /// sealing, epoch publication). After the streams run dry the service
-/// is drained and the frozen stores flow through the shared
-/// [`fit_stage`] and derive stage, so the final analyses are the batch
-/// analyses byte for byte.
+/// is drained and the frozen stores flow through the batch fit and
+/// derive stages, so the final analyses are the batch analyses byte for
+/// byte at any chunk plan, seal threshold and parallelism.
 ///
-/// `service` must have one deterministic partition per generated city
-/// (label-matched) with the standard `ookla`/`mlab`/`mba` campaigns —
-/// [`st_serve::PartitionSpec::city`] per [`City::all`] entry. Extra
-/// partitions (e.g. the wire partition) are left untouched by the
-/// replay but are frozen by the drain like everything else.
+/// `service` must hold [`city_partitions`]. Extra partitions (e.g. the
+/// wire partition) are left untouched by the replay but are frozen by
+/// the drain like everything else.
 ///
 /// The returned [`SanitizeReport`] covers the deterministic partitions
 /// only; their per-campaign `sanitize.*` counters are recorded into
-/// `obs` in partition order after the drain, mirroring the ingest
-/// path's freeze-time recording. Wire-partition rows stay out of the
-/// deterministic metric class entirely (DESIGN.md §18).
+/// `obs` in partition order after the drain. Wire-partition rows stay
+/// out of the deterministic metric class entirely (DESIGN.md §18).
 pub fn build_analyses_serve(
     scale: f64,
     seed: u64,
@@ -751,31 +577,11 @@ pub fn build_analyses_serve(
 ) -> Result<ServeBuildOutput, ServeError> {
     assert!(chunk_rows > 0, "chunk_rows must be >= 1");
     let parallelism = parallelism.max(1);
-    let cities = City::all();
-    let city_workers = parallelism.min(cities.len());
-    let inner = parallelism.div_ceil(city_workers);
-
-    obs.event("stage.start", "lifecycle", &[("stage", "generate")]);
-    let gen_span = obs.span("generate");
-    let generated = par_map(cities.to_vec(), city_workers, |_, city| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("generate/{}", city.label()));
-        let ds = CityDataset::generate_with_parallelism(city, scale, seed, inner);
-        ds.observe(&sub);
-        city_span.stop();
-        (ds, sub)
-    });
-    let generate_s = gen_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "generate")]);
-    let mut datasets = Vec::with_capacity(generated.len());
-    for (ds, sub) in generated {
-        obs.merge(&sub);
-        datasets.push(ds);
-    }
+    let (datasets, _, generate_s) = generate_stage(scale, seed, parallelism, None, false, obs);
 
     obs.event("stage.start", "lifecycle", &[("stage", "ingest")]);
     let ingest_span = obs.span("ingest");
-    let streamed = par_map(datasets, city_workers, |ci, ds| {
+    let streamed = par_map(datasets, city_workers(parallelism).0, |ci, ds| {
         let city = ds.config.city.label();
         let CityDataset { config, ookla, mlab, mba, .. } = ds;
         let mut streams = [
@@ -784,7 +590,7 @@ pub fn build_analyses_serve(
             ("mba", split_chunks(mba, chunk_rows)),
         ];
         let mut sched = ReplaySchedule::new(seed, ci);
-        let mut stats = ServeStats::default();
+        let (mut chunks, mut rows) = (0u64, 0u64);
         loop {
             let live: Vec<usize> =
                 (0..streams.len()).filter(|&k| !streams[k].1.is_empty()).collect();
@@ -793,35 +599,37 @@ pub fn build_analyses_serve(
             }
             let (campaign, queue) = &mut streams[live[sched.pick(live.len())]];
             let chunk = queue.pop_front().expect("stream is live");
-            match service.ingest_chunk(city, campaign, chunk) {
-                Ok(receipt) => {
-                    stats.chunks += 1;
-                    stats.rows += receipt.stats.rows_in as u64;
-                }
-                Err(e) => return (config, stats, Some(e)),
-            }
+            let receipt = service.ingest_chunk(city, campaign, chunk)?;
+            chunks += 1;
+            rows += receipt.stats.rows_in as u64;
         }
-        (config, stats, None)
+        Ok::<_, ServeError>((config, chunks, rows))
     });
-    let mut stats_total = ServeStats::default();
+    let mut stats = StreamStats {
+        chunk_rows,
+        seal_rows: service.seal_rows(),
+        epoch_rows: service.epoch_rows() as usize,
+        ..StreamStats::default()
+    };
     let mut configs = Vec::with_capacity(streamed.len());
-    for (config, stats, err) in streamed {
-        if let Some(e) = err {
-            return Err(e);
-        }
-        stats_total.chunks += stats.chunks;
-        stats_total.rows += stats.rows;
+    for city in streamed {
+        let (config, chunks, rows) = city?;
+        stats.chunks += chunks;
+        stats.rows += rows;
         configs.push(config);
     }
 
     let drained = service.drain()?;
-    stats_total.ingest_s = ingest_span.stop();
+    stats.ingest_s = ingest_span.stop();
     obs.event("stage.end", "lifecycle", &[("stage", "ingest")]);
-    stats_total.segments = drained.segments;
-    stats_total.epochs = service.current_epoch().epoch;
+    stats.segments = drained.segments;
+    stats.epochs = service.current_epoch().epoch;
+    if stats.ingest_s > 0.0 {
+        stats.rows_per_s = stats.rows as f64 / stats.ingest_s;
+    }
 
     // Post-drain, partition order: record the deterministic partitions'
-    // sanitize taxonomy exactly like the ingest path does at freeze.
+    // sanitize taxonomy.
     let mut sanitize_total = SanitizeReport::default();
     let mut by_city: std::collections::BTreeMap<String, Vec<(String, SegmentedStore)>> =
         std::collections::BTreeMap::new();
@@ -850,9 +658,12 @@ pub fn build_analyses_serve(
             })
         };
         let (ookla, mlab, mba) = (take("ookla")?, take("mlab")?, take("mba")?);
-        prepared.push((config, ookla, mlab, mba));
+        prepared.push((config.city, (config, ookla, mlab, mba)));
     }
-    let (analyses, fit_s) = fit_stage(prepared, seed, city_workers, obs);
+    let (analyses, fit_s) =
+        fit_stage(prepared, seed, parallelism, obs, |(config, ookla, mlab, mba), seed, sub| {
+            CityAnalysis::from_stores(config, ookla, mlab, mba, seed, sub)
+        });
 
     let derive_s = derive_stage(&analyses, parallelism, obs);
 
@@ -860,7 +671,7 @@ pub fn build_analyses_serve(
         Arc::new(analyses),
         StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
         sanitize_total,
-        stats_total,
+        stats,
     ))
 }
 
@@ -1150,52 +961,22 @@ fn instrument_job(label: &str, inner: RenderJob, opts: &SuperviseOptions) -> Ren
     inner
 }
 
-/// Run every experiment; `analyses` must hold the four cities in order.
-pub fn run_all(analyses: &Arc<Vec<CityAnalysis>>, scale: f64, seed: u64) -> ReproReport {
-    run_all_par(analyses, scale, seed, 1, StageTimings::default())
-}
-
-/// Like [`run_all`], dispatching the render jobs to up to `parallelism`
-/// workers through a bounded queue and stitching the results back into
-/// paper order. Artifacts and headlines are identical at every
-/// parallelism level.
+/// Run every experiment under supervision; `analyses` must hold the
+/// four cities in order. The render jobs go to up to
+/// `opts.parallelism` workers through a bounded queue and are stitched
+/// back into paper order, so artifacts and headlines are identical at
+/// every parallelism level.
 ///
-/// `timings` carries the generate/fit wall-clocks from
-/// [`build_analyses_par`]; this call fills in `render_s`.
-pub fn run_all_par(
-    analyses: &Arc<Vec<CityAnalysis>>,
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    timings: StageTimings,
-) -> ReproReport {
-    let opts = SuperviseOptions { parallelism, ..SuperviseOptions::default() };
-    run_all_supervised(analyses, scale, seed, &opts, timings, SanitizeReport::default())
-}
-
-/// The supervised render engine. Every job runs under `catch_unwind`
-/// with a per-attempt deadline and one retry; a job that fails both
-/// attempts degrades to a placeholder artifact at its paper-order
-/// position and is recorded in [`ReproReport::health`]. The run always
-/// completes; callers decide (via [`RunHealth::is_degraded`]) whether a
-/// degraded run is acceptable.
+/// Every job runs under `catch_unwind` with a per-attempt deadline and
+/// one retry; a job that fails both attempts degrades to a placeholder
+/// artifact at its paper-order position and is recorded in
+/// [`ReproReport::health`]. The run always completes; callers decide
+/// (via [`RunHealth::is_degraded`]) whether a degraded run is
+/// acceptable. `timings` carries the builder's stage wall-clocks (this
+/// call fills in `render_s`), and `sanitize` its record-quarantine
+/// counters, which surface in the report's `## Health` section.
 ///
-/// `sanitize` carries the record-quarantine counters from
-/// [`build_analyses_sanitized`]; they surface in the report's `## Health`
-/// section.
-pub fn run_all_supervised(
-    analyses: &Arc<Vec<CityAnalysis>>,
-    scale: f64,
-    seed: u64,
-    opts: &SuperviseOptions,
-    timings: StageTimings,
-    sanitize: SanitizeReport,
-) -> ReproReport {
-    run_all_observed(analyses, scale, seed, opts, timings, sanitize, &Registry::disabled())
-}
-
-/// Like [`run_all_supervised`], recording render metrics and spans into
-/// `obs`. Each job runs against its own sub-registry (one
+/// Each job records into its own sub-registry of `obs` (one
 /// `render/<label>` span per job); the coordinator merges them in paper
 /// order and adds the deterministic job counters (`render.jobs`,
 /// `render.jobs_retried`, `render.jobs_failed`,
@@ -1397,10 +1178,22 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
+    /// The render stage with no registry, at `opts`.
+    fn render(
+        analyses: &Arc<Vec<CityAnalysis>>,
+        seed: u64,
+        opts: &SuperviseOptions,
+        sanitize: SanitizeReport,
+    ) -> ReproReport {
+        let off = Registry::disabled();
+        run_all_observed(analyses, 0.004, seed, opts, StageTimings::default(), sanitize, &off)
+    }
+
     #[test]
     fn tiny_run_produces_all_artifacts() {
-        let analyses = build_analyses(0.004, 2024);
-        let report = run_all(&analyses, 0.004, 2024);
+        let (analyses, _, sanitize) =
+            build_analyses_observed(0.004, 2024, 1, None, &Registry::disabled());
+        let report = render(&analyses, 2024, &SuperviseOptions::default(), sanitize);
         assert!(report.artifacts.len() > 25, "artifacts: {}", report.artifacts.len());
         assert!(report.headlines.len() >= 8);
         let ids: Vec<&str> = report.artifacts.iter().map(|a| a.id.as_str()).collect();
@@ -1448,18 +1241,21 @@ mod tests {
         let md = render_report(&report);
         assert!(md.contains("## Metrics"));
         assert!(md.contains("counter totals"));
-        // The plain entry points stay metrics-free.
-        let plain = run_all(&analyses, 0.004, 2024);
+        // A disabled registry keeps the run metrics-free.
+        let plain = render(&analyses, 2024, &opts, SanitizeReport::default());
         assert!(plain.metrics.is_none());
         assert!(!render_report(&plain).contains("## Metrics"));
     }
 
     #[test]
     fn parallel_report_matches_sequential() {
-        let (seq_analyses, _) = build_analyses_par(0.004, 77, 1);
-        let (par_analyses, _) = build_analyses_par(0.004, 77, 4);
-        let seq = run_all(&seq_analyses, 0.004, 77);
-        let par = run_all_par(&par_analyses, 0.004, 77, 4, StageTimings::default());
+        let off = Registry::disabled();
+        let (seq_analyses, _, _) = build_analyses_observed(0.004, 77, 1, None, &off);
+        let (par_analyses, _, _) = build_analyses_observed(0.004, 77, 4, None, &off);
+        let seq =
+            render(&seq_analyses, 77, &SuperviseOptions::default(), SanitizeReport::default());
+        let opts = SuperviseOptions { parallelism: 4, ..SuperviseOptions::default() };
+        let par = render(&par_analyses, 77, &opts, SanitizeReport::default());
         assert_eq!(seq.artifacts.len(), par.artifacts.len());
         for (s, p) in seq.artifacts.iter().zip(&par.artifacts) {
             assert_eq!(s.id, p.id, "artifact order diverged");
@@ -1472,7 +1268,7 @@ mod tests {
 
     #[test]
     fn sanitizer_counts_pristine_records_as_clean() {
-        let (_, _, report) = build_analyses_sanitized(0.004, 2024, 2, None);
+        let (_, _, report) = build_analyses_observed(0.004, 2024, 2, None, &Registry::disabled());
         assert!(report.clean > 1000, "clean records: {}", report.clean);
         assert_eq!(report.quarantined, 0, "pristine generator quarantined: {report:?}");
         assert_eq!(report.repaired, 0);
@@ -1481,20 +1277,14 @@ mod tests {
     #[test]
     fn dirty_records_quarantine_and_analysis_survives() {
         let dirty = DirtyScenario::with_total_rate(0.02);
-        let (analyses, timings, report) = build_analyses_sanitized(0.004, 2024, 2, Some(&dirty));
+        let (analyses, _, report) =
+            build_analyses_observed(0.004, 2024, 2, Some(&dirty), &Registry::disabled());
         assert!(report.quarantined > 0, "2% dirty must quarantine something");
         // Duplicates and clock-skew repairs both occur at this rate.
         assert!(report.quarantine_reasons.contains_key("duplicate-id"), "{report:?}");
         assert!(report.repaired > 0, "clock-skewed records should be repaired: {report:?}");
         // The degraded dataset still fits and renders end to end.
-        let run = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &SuperviseOptions::default(),
-            timings,
-            report,
-        );
+        let run = render(&analyses, 2024, &SuperviseOptions::default(), report);
         assert!(run.artifacts.len() > 25);
         assert!(!run.health.is_degraded());
         assert!(run.health.sanitize.quarantined > 0);
@@ -1502,20 +1292,13 @@ mod tests {
 
     #[test]
     fn injected_job_failure_degrades_to_placeholder() {
-        let analyses = build_analyses(0.004, 2024);
+        let (analyses, _, _) = build_analyses_observed(0.004, 2024, 1, None, &Registry::disabled());
         let opts = SuperviseOptions {
             fail_jobs: vec!["fig08".into()],
             deadline: Duration::from_secs(60),
             ..SuperviseOptions::default()
         };
-        let report = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &opts,
-            StageTimings::default(),
-            SanitizeReport::default(),
-        );
+        let report = render(&analyses, 2024, &opts, SanitizeReport::default());
         assert!(report.health.is_degraded());
         assert_eq!(report.health.jobs_failed, 1);
         assert_eq!(report.health.failures[0].label, "fig08");
@@ -1534,42 +1317,29 @@ mod tests {
 
     #[test]
     fn flaky_job_survives_on_retry() {
-        let analyses = build_analyses(0.004, 2024);
+        let (analyses, _, _) = build_analyses_observed(0.004, 2024, 1, None, &Registry::disabled());
         let opts =
             SuperviseOptions { flaky_jobs: vec!["table1".into()], ..SuperviseOptions::default() };
-        let report = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &opts,
-            StageTimings::default(),
-            SanitizeReport::default(),
-        );
+        let report = render(&analyses, 2024, &opts, SanitizeReport::default());
         assert!(!report.health.is_degraded());
         assert_eq!(report.health.jobs_retried, 1);
         assert_eq!(report.health.jobs_failed, 0);
-        let clean = run_all(&analyses, 0.004, 2024);
+        let clean =
+            render(&analyses, 2024, &SuperviseOptions::default(), SanitizeReport::default());
         assert_eq!(report.artifacts.len(), clean.artifacts.len());
         assert_eq!(report.artifacts[0].text, clean.artifacts[0].text);
     }
 
     #[test]
     fn hanging_job_hits_the_deadline_and_degrades() {
-        let analyses = build_analyses(0.004, 2024);
+        let (analyses, _, _) = build_analyses_observed(0.004, 2024, 1, None, &Registry::disabled());
         let opts = SuperviseOptions {
             hang_jobs: vec!["ext_latency".into()],
             deadline: Duration::from_millis(250),
             ..SuperviseOptions::default()
         };
         let t0 = Instant::now();
-        let report = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &opts,
-            StageTimings::default(),
-            SanitizeReport::default(),
-        );
+        let report = render(&analyses, 2024, &opts, SanitizeReport::default());
         assert!(report.health.is_degraded());
         assert_eq!(report.health.failures[0].label, "ext_latency");
         assert!(report.health.failures[0].reason.contains("deadline exceeded"));
@@ -1582,13 +1352,14 @@ mod tests {
     fn degraded_run_is_identical_across_parallelism() {
         let dirty = DirtyScenario::with_total_rate(0.02);
         let mk = |par: usize| {
-            let (analyses, _, sanitize) = build_analyses_sanitized(0.004, 99, par, Some(&dirty));
+            let (analyses, _, sanitize) =
+                build_analyses_observed(0.004, 99, par, Some(&dirty), &Registry::disabled());
             let opts = SuperviseOptions {
                 parallelism: par,
                 fail_jobs: vec!["fig10".into()],
                 ..SuperviseOptions::default()
             };
-            run_all_supervised(&analyses, 0.004, 99, &opts, StageTimings::default(), sanitize)
+            render(&analyses, 99, &opts, sanitize)
         };
         let seq = mk(1);
         let par = mk(4);

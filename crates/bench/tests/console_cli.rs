@@ -25,7 +25,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn sample_row() -> LedgerRow {
     LedgerRow {
-        schema: "st-ledger/v1".to_string(),
+        schema: "st-run/v2".to_string(),
+        command: "repro".to_string(),
         scale: 0.004,
         seed: 2024,
         parallelism: 1,
@@ -42,6 +43,7 @@ fn sample_row() -> LedgerRow {
         fit_s: 0.2,
         derive_s: 0.1,
         render_s: 0.3,
+        stream: None,
     }
 }
 
@@ -175,7 +177,7 @@ fn headless_console_observes_a_live_server_and_flags_drift() {
         "metrics poll fills the outcome totals: {pane:?}"
     );
     assert!(
-        pane.iter().any(|l| l.contains("run: st-ledger/v1") && l.contains("seed 2024")),
+        pane.iter().any(|l| l.contains("run: st-run/v2 repro") && l.contains("seed 2024")),
         "ledger tail fills the run identity: {pane:?}"
     );
 

@@ -5,23 +5,25 @@
 //! byte-identical between `--parallelism` 1 and 4.
 
 use st_bench::{
-    build_analyses_sanitized, render_health, render_report, run_all_supervised, SuperviseOptions,
+    build_analyses_observed, render_health, render_report, run_all_observed, SuperviseOptions,
 };
 use st_datagen::DirtyScenario;
+use st_obs::Registry;
 
 const SCALE: f64 = 0.004;
 const SEED: u64 = 20220707;
 
 fn degraded_run(parallelism: usize) -> (st_bench::ReproReport, String) {
     let dirty = DirtyScenario::with_total_rate(0.02);
+    let off = Registry::disabled();
     let (analyses, timings, sanitize) =
-        build_analyses_sanitized(SCALE, SEED, parallelism, Some(&dirty));
+        build_analyses_observed(SCALE, SEED, parallelism, Some(&dirty), &off);
     let opts = SuperviseOptions {
         parallelism,
         fail_jobs: vec!["fig08".into()],
         ..SuperviseOptions::default()
     };
-    let report = run_all_supervised(&analyses, SCALE, SEED, &opts, timings, sanitize);
+    let report = run_all_observed(&analyses, SCALE, SEED, &opts, timings, sanitize, &off);
     let md = render_report(&report);
     (report, md)
 }

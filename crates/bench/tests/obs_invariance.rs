@@ -89,9 +89,10 @@ fn deterministic_metrics_survive_dirty_data_and_degraded_jobs() {
 #[test]
 fn observation_is_read_only() {
     let (observed, snapshot) = observed_run(2, None, &[]);
-    let (analyses, timings, sanitize) = st_bench::build_analyses_sanitized(SCALE, SEED, 2, None);
+    let off = Registry::disabled();
+    let (analyses, timings, sanitize) = build_analyses_observed(SCALE, SEED, 2, None, &off);
     let opts = SuperviseOptions { parallelism: 2, ..SuperviseOptions::default() };
-    let plain = st_bench::run_all_supervised(&analyses, SCALE, SEED, &opts, timings, sanitize);
+    let plain = run_all_observed(&analyses, SCALE, SEED, &opts, timings, sanitize, &off);
 
     assert!(snapshot.deterministic.counters.len() > 20);
     assert!(plain.metrics.is_none());

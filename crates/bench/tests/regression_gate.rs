@@ -119,6 +119,10 @@ fn obs_diff_binary_maps_outcomes_to_exit_codes() {
     let bad_flag = run(Some(&same), &["--wall-ratio", "0.5"]);
     assert_eq!(bad_flag.status.code(), Some(2), "usage errors must exit 2");
 
+    let help = run(None, &["--help"]);
+    assert_eq!(help.status.code(), Some(0), "--help is not an error");
+    assert!(String::from_utf8_lossy(&help.stdout).contains("usage:"));
+
     let _ = std::fs::remove_file(&old_path);
     let _ = std::fs::remove_dir(&dir);
 }
@@ -131,8 +135,8 @@ fn ledger_rows_accumulate_and_artifact_hash_is_parallelism_invariant() {
 
     let (report1, _) = observed_snapshot(1);
     let (report4, _) = observed_snapshot(4);
-    let row1 = LedgerRow::from_report(&report1, 1);
-    let row4 = LedgerRow::from_report(&report4, 4);
+    let row1 = LedgerRow::from_report("repro", &report1, 1, None);
+    let row4 = LedgerRow::from_report("repro", &report4, 4, None);
     assert_eq!(
         row1.artifact_hash, row4.artifact_hash,
         "artifact hash must not depend on parallelism"
@@ -145,7 +149,8 @@ fn ledger_rows_accumulate_and_artifact_hash_is_parallelism_invariant() {
     let rows = read_ledger(&path).expect("ledger parses");
     assert_eq!(rows.len(), 2);
     for (row, parallelism) in rows.iter().zip([1u64, 4]) {
-        assert_eq!(row.get("schema").and_then(Value::as_str), Some("st-ledger/v1"));
+        assert_eq!(row.get("schema").and_then(Value::as_str), Some("st-run/v2"));
+        assert_eq!(row.get("command").and_then(Value::as_str), Some("repro"));
         assert_eq!(row.get("parallelism").and_then(Value::as_u64), Some(parallelism));
         assert_eq!(
             row.get("artifact_hash").and_then(Value::as_str),
@@ -156,4 +161,41 @@ fn ledger_rows_accumulate_and_artifact_hash_is_parallelism_invariant() {
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
+}
+
+#[test]
+fn every_binary_shares_the_cli_exit_contract() {
+    // Usage errors exit 2 before any work starts; `--help` prints the
+    // usage to stdout and exits 0.
+    let bins = [
+        env!("CARGO_BIN_EXE_repro"),
+        env!("CARGO_BIN_EXE_gen-data"),
+        env!("CARGO_BIN_EXE_ingest"),
+        env!("CARGO_BIN_EXE_serve"),
+        env!("CARGO_BIN_EXE_wire-load"),
+        env!("CARGO_BIN_EXE_obs-diff"),
+        env!("CARGO_BIN_EXE_console"),
+    ];
+    let run =
+        |bin: &str, args: &[&str]| Command::new(bin).args(args).output().expect("binary runs");
+    for bin in bins {
+        let help = run(bin, &["--help"]);
+        assert_eq!(help.status.code(), Some(0), "{bin} --help");
+        assert!(String::from_utf8_lossy(&help.stdout).contains("usage:"), "{bin} --help");
+        let bogus = run(bin, &["--bogus"]);
+        assert_eq!(bogus.status.code(), Some(2), "{bin} --bogus");
+    }
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_repro"), ["--parallelism", "0"]),
+        (env!("CARGO_BIN_EXE_repro"), ["--scale", "0"]),
+        (env!("CARGO_BIN_EXE_repro"), ["--dirty-rate", "1.5"]),
+        (env!("CARGO_BIN_EXE_gen-data"), ["--scale", "0"]),
+        (env!("CARGO_BIN_EXE_gen-data"), ["--city", "Z"]),
+        (env!("CARGO_BIN_EXE_ingest"), ["--chunk-rows", "0"]),
+        (env!("CARGO_BIN_EXE_serve"), ["--epoch-rows", "0"]),
+    ] {
+        let out = run(bin, &args);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        assert!(!out.stderr.is_empty(), "{bin} {args:?} explains itself on stderr");
+    }
 }

@@ -17,7 +17,8 @@
 /// contract says nothing downstream may depend on it).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunIdentity {
-    /// Ledger row schema tag ("st-ledger/v1", "st-serve/v1", ...).
+    /// Ledger row schema tag and the command that wrote the row
+    /// (`st-run/v2 serve`).
     pub schema: String,
     /// The run's `--scale`.
     pub scale: f64,

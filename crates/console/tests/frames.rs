@@ -14,7 +14,7 @@ fn ingest_events(parallelism: u64, uptime_s: f64, addr: &str) -> Vec<Event> {
         Event::Connected { addr: addr.to_string() },
         Event::LedgerAttached { path: "out/BENCH_ledger.jsonl".into() },
         Event::Ledger(RunIdentity {
-            schema: "st-serve/v1".into(),
+            schema: "st-run/v2 serve".into(),
             scale: 0.05,
             seed: 2024,
             parallelism,

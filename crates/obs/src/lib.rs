@@ -26,12 +26,12 @@
 //!   recording cannot diverge.
 //! * **Wall-clock** ([`WallClockMetrics`]): span durations and queue
 //!   waits. Reported for profiling, excluded from every determinism
-//!   contract — like `BENCH_timings.json`.
+//!   contract — like the stage durations of a run's ledger row.
 //!
 //! Recording is **read-only observation**: a registry never feeds back
 //! into any computation, so artifacts are byte-identical whether a run
 //! records into an enabled registry or a [`Registry::disabled`] one
-//! (pinned by `crates/bench/tests/golden_identity.rs`).
+//! (pinned by `crates/bench/tests/run_identity.rs`).
 //!
 //! Spans are scoped guards ([`Span`]): [`Registry::span`] opens one,
 //! dropping it (or calling [`Span::stop`]) records its wall-clock

@@ -672,6 +672,36 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_gets_an_error_row_and_the_service_answers_on() {
+        let s = service();
+        let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
+        let t = Duration::from_secs(5);
+        let stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
+        stream.set_read_timeout(Some(t)).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        // Unbounded parser recursion would overflow the connection
+        // thread's stack here and abort the whole process.
+        writer.write_all(format!("{}\n", "[".repeat(10_000)).as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an answer to the deep line");
+        let v: serde_json::Value = serde_json::from_str(&line).expect("error row parses");
+        assert_eq!(get(&v, "ok").as_bool(), Some(false), "{line}");
+        assert!(
+            get(&v, "detail").as_str().is_some_and(|d| d.contains("recursion limit")),
+            "{line}"
+        );
+        writer.write_all(b"{\"cmd\":\"status\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).expect("status on the same connection");
+        let v: serde_json::Value = serde_json::from_str(&line).expect("status parses");
+        assert_eq!(get(&v, "kind").as_str(), Some("status"), "{line}");
+        let resp = query_once(server.addr(), "{\"cmd\":\"status\"}", t).expect("a new client");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        server.stop();
+    }
+
+    #[test]
     fn tcp_round_trip_and_shutdown_signal() {
         let s = service();
         let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
