@@ -120,17 +120,22 @@ fn parse_args() -> Result<Args, CliError> {
 }
 
 /// Turn a shorthand query (`status`, `city City-A`, `headline`, ...)
-/// into a request line; raw JSON passes through untouched.
+/// into a request line; raw JSON passes through untouched. The rest of
+/// a `city` shorthand is the city name, and every string goes out
+/// JSON-escaped, so a name holding quotes, backslashes or control
+/// characters reaches the server as itself.
 fn to_request(query: &str) -> String {
     let q = query.trim();
     if q.starts_with('{') {
         return q.to_string();
     }
-    let mut parts = q.split_whitespace();
-    let cmd = parts.next().unwrap_or("status");
-    match (cmd, parts.next()) {
-        ("city", Some(city)) => format!("{{\"cmd\":\"city\",\"city\":\"{city}\"}}"),
-        _ => format!("{{\"cmd\":\"{cmd}\"}}"),
+    let quote = |s: &str| serde_json::to_string(s).expect("a string serializes");
+    let (cmd, rest) = q.split_once(char::is_whitespace).unwrap_or((q, ""));
+    let city = rest.trim();
+    if cmd == "city" && !city.is_empty() {
+        format!("{{\"cmd\":\"city\",\"city\":{}}}", quote(city))
+    } else {
+        format!("{{\"cmd\":{}}}", quote(if cmd.is_empty() { "status" } else { cmd }))
     }
 }
 
@@ -290,4 +295,29 @@ fn main() -> ExitCode {
     }
     server.stop();
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::to_request;
+
+    fn field(line: &str, key: &str) -> Option<String> {
+        let v = serde_json::from_str(line).unwrap_or_else(|e| panic!("{line:?} is not JSON: {e}"));
+        v.get(key).and_then(|s| s.as_str()).map(str::to_string)
+    }
+
+    #[test]
+    fn shorthand_strings_round_trip_escaped() {
+        for name in ["City-A", "Ci\"ty", "back\\slash", "bell\u{7}", "tab\there", "New York"] {
+            let line = to_request(&format!("city {name}"));
+            assert_eq!(field(&line, "cmd").as_deref(), Some("city"), "{line}");
+            assert_eq!(field(&line, "city").as_deref(), Some(name), "{line}");
+        }
+        assert_eq!(to_request("city City-A"), r#"{"cmd":"city","city":"City-A"}"#);
+        assert_eq!(to_request(" status "), r#"{"cmd":"status"}"#);
+        assert_eq!(to_request(""), r#"{"cmd":"status"}"#);
+        assert_eq!(field(&to_request("no\"pe"), "cmd").as_deref(), Some("no\"pe"));
+        // Raw requests pass through as written.
+        assert_eq!(to_request(r#" {"cmd":"epoch"} "#), r#"{"cmd":"epoch"}"#);
+    }
 }

@@ -27,10 +27,18 @@
 //! cached JSON) survive from one request to the next while nothing
 //! changes.
 //!
+//! Each request line is parsed once. The `city`, `headline`,
+//! `quarantine` and `epoch` answers read nothing but the epoch
+//! snapshot, so the first reader of a snapshot serializes them (one
+//! `city` answer per partition) and later readers write those bytes
+//! as they are (`AnswerCache`). `status` (uptime, live epoch count)
+//! and `metrics` (the registry's own cache) are built per request.
+//!
 //! Malformed or unknown requests get a uniform structured error row:
 //! `{"ok": false, "kind": "error", "detail": "..."}` — still one JSON
 //! object per line, so clients never need a second parser for the
-//! failure path.
+//! failure path. A line longer than `MAX_LINE_BYTES` gets that row
+//! and then the connection is closed, unread remainder and all.
 //!
 //! `watch` is the one departure from request/response: the connection
 //! switches to a push feed (the console's live feed). The server
@@ -45,11 +53,12 @@
 use crate::epoch::{CitySnapshot, EpochSnapshot};
 use crate::service::ContextService;
 use serde::Serialize;
+use serde_json::{ParseError, Value};
 use st_obs::MetricsSnapshot;
 use st_speedtest::SanitizeReport;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
@@ -58,6 +67,11 @@ use std::time::Duration;
 
 /// How often a streaming watch wakes up to notice server shutdown.
 const WATCH_POLL: Duration = Duration::from_millis(200);
+
+/// Longest request line the server reads, in bytes before its `\n`.
+/// In-tree requests are under 100 bytes. A connection's line buffer
+/// never grows past this plus one byte.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 #[derive(Serialize)]
 struct ErrorResponse {
@@ -153,20 +167,125 @@ struct WatchRow {
     counters: BTreeMap<String, u64>,
 }
 
-fn err(msg: impl Into<String>) -> String {
-    serde_json::to_string(&ErrorResponse { ok: false, kind: "error", detail: msg.into() })
-        .expect("error response serializes")
+fn err(msg: impl Into<String>) -> Answer {
+    Answer::Fresh(json(&ErrorResponse { ok: false, kind: "error", detail: msg.into() }))
 }
 
 fn json<T: Serialize>(resp: &T) -> String {
     serde_json::to_string(resp).expect("query response serializes")
 }
 
+/// One answer line, ready to leave as a single write.
+enum Answer {
+    /// Built for this request; its `\n` is not yet appended.
+    Fresh(String),
+    /// An epoch's cached answer: the text and its `\n`.
+    Cached(Arc<str>),
+}
+
+impl Answer {
+    /// The line without its `\n`, as [`dispatch`] returns it.
+    fn into_line(self) -> String {
+        match self {
+            Answer::Fresh(line) => line,
+            Answer::Cached(line) => line[..line.len() - 1].to_string(),
+        }
+    }
+
+    /// Send the line and its `\n` in one write.
+    fn write_to(self, writer: &mut TcpStream) -> io::Result<()> {
+        match self {
+            Answer::Fresh(line) => write_line(writer, line),
+            Answer::Cached(line) => writer.write_all(line.as_bytes()),
+        }
+    }
+}
+
+/// The answers of the four verbs that read nothing but one epoch
+/// snapshot, each serialized once with its `\n`.
+struct EpochAnswers {
+    headline: Arc<str>,
+    quarantine: Arc<str>,
+    epoch: Arc<str>,
+    /// `(partition, city answer)` in partition order.
+    cities: Vec<(String, Arc<str>)>,
+}
+
+impl EpochAnswers {
+    fn build(snap: &EpochSnapshot) -> Self {
+        let line = |text: String| -> Arc<str> { (text + "\n").into() };
+        EpochAnswers {
+            headline: line(json(&HeadlineResponse {
+                ok: true,
+                kind: "headline",
+                epoch: snap.epoch,
+                final_epoch: snap.final_epoch,
+                headlines: snap.headlines.clone(),
+                tables: snap.tables.clone(),
+            })),
+            quarantine: line(json(&QuarantineResponse {
+                ok: true,
+                kind: "quarantine",
+                epoch: snap.epoch,
+                rows_in: snap.rows_in,
+                quarantined: snap.quarantined,
+                sanitize: snap.sanitize.clone(),
+            })),
+            epoch: line(json(&EpochResponse { ok: true, kind: "epoch", snapshot: snap.clone() })),
+            cities: snap
+                .cities
+                .iter()
+                .map(|c| {
+                    let answer =
+                        CityResponse { ok: true, kind: "city", epoch: snap.epoch, city: c.clone() };
+                    (c.city.clone(), line(json(&answer)))
+                })
+                .collect(),
+        }
+    }
+
+    fn city(&self, name: &str) -> Option<Arc<str>> {
+        self.cities.iter().find(|(city, _)| city == name).map(|(_, line)| Arc::clone(line))
+    }
+}
+
+/// The [`EpochAnswers`] of the newest snapshot a reader has asked
+/// about. Like [`st_obs::Registry::snapshot_json_shared`], it is keyed
+/// on the identity of the snapshot `Arc` the answers were built from
+/// and holds that `Arc`, so an answer is only ever served for its own
+/// snapshot. The writer never touches it: a crossing publishes, and
+/// the first reader of the new snapshot builds.
+#[derive(Default)]
+pub(crate) struct AnswerCache(Mutex<Option<(Arc<EpochSnapshot>, Arc<EpochAnswers>)>>);
+
+impl AnswerCache {
+    /// `snap`'s answers: cached if they were built from this very
+    /// `Arc`, else built now and stored. Readers racing on a crossing
+    /// may both build; the last to finish is stored.
+    fn get(&self, snap: &Arc<EpochSnapshot>) -> Arc<EpochAnswers> {
+        if let Some((cached, answers)) = &*self.0.lock().expect("answer cache lock") {
+            if Arc::ptr_eq(cached, snap) {
+                return Arc::clone(answers);
+            }
+        }
+        let answers = Arc::new(EpochAnswers::build(snap));
+        *self.0.lock().expect("answer cache lock") = Some((Arc::clone(snap), Arc::clone(&answers)));
+        answers
+    }
+}
+
 /// Answer one request line. Returns the response line and whether the
 /// request asked the server to shut down. Pure over (service state,
 /// line) — exposed for direct use in tests and the in-process path.
 pub fn dispatch(service: &ContextService, line: &str) -> (String, bool) {
-    let value: serde_json::Value = match serde_json::from_str(line) {
+    let (answer, shutdown) = respond(service, serde_json::from_str(line));
+    (answer.into_line(), shutdown)
+}
+
+/// Answer one parsed request line: what [`dispatch`] does after its
+/// parse, and what a connection does with the line it parsed.
+fn respond(service: &ContextService, request: Result<Value, ParseError>) -> (Answer, bool) {
+    let value = match request {
         Ok(v) => v,
         Err(e) => return (err(format!("bad request JSON: {e}")), false),
     };
@@ -174,10 +293,11 @@ pub fn dispatch(service: &ContextService, line: &str) -> (String, bool) {
         return (err("request needs a string \"cmd\" field"), false);
     };
     let snap = service.current_epoch();
-    let resp = match cmd {
+    let cached = || service.answer_cache().get(&snap);
+    let answer = match cmd {
         "status" => {
             let epochs_published = service.registry().counter("serve.epochs", &[]);
-            json(&StatusResponse {
+            Answer::Fresh(json(&StatusResponse {
                 ok: true,
                 kind: "status",
                 epoch: snap.epoch,
@@ -198,57 +318,38 @@ pub fn dispatch(service: &ContextService, line: &str) -> (String, bool) {
                         accepted_rows: c.campaigns.iter().map(|s| s.accepted_rows).sum(),
                     })
                     .collect(),
-            })
+            }))
         }
-        "city" => {
-            let Some(name) = value.get("city").and_then(|c| c.as_str()) else {
-                return (err("city query needs a string \"city\" field"), false);
-            };
-            match snap.cities.iter().find(|c| c.city == name) {
-                Some(c) => json(&CityResponse {
-                    ok: true,
-                    kind: "city",
-                    epoch: snap.epoch,
-                    city: c.clone(),
-                }),
+        "city" => match value.get("city").and_then(|c| c.as_str()) {
+            None => err("city query needs a string \"city\" field"),
+            Some(name) => match cached().city(name) {
+                Some(line) => Answer::Cached(line),
                 None => err(format!("unknown city {name:?}")),
-            }
-        }
-        "headline" => json(&HeadlineResponse {
-            ok: true,
-            kind: "headline",
-            epoch: snap.epoch,
-            final_epoch: snap.final_epoch,
-            headlines: snap.headlines.clone(),
-            tables: snap.tables.clone(),
-        }),
-        "quarantine" => json(&QuarantineResponse {
-            ok: true,
-            kind: "quarantine",
-            epoch: snap.epoch,
-            rows_in: snap.rows_in,
-            quarantined: snap.quarantined,
-            sanitize: snap.sanitize.clone(),
-        }),
-        "epoch" => json(&EpochResponse { ok: true, kind: "epoch", snapshot: (*snap).clone() }),
+            },
+        },
+        "headline" => Answer::Cached(Arc::clone(&cached().headline)),
+        "quarantine" => Answer::Cached(Arc::clone(&cached().quarantine)),
+        "epoch" => Answer::Cached(Arc::clone(&cached().epoch)),
         // Assembled by hand around the registry's cached JSON, which is
         // serialized once per metric change, not once per request.
-        "metrics" => format!(
+        "metrics" => Answer::Fresh(format!(
             "{{\"ok\":true,\"kind\":\"metrics\",\"epoch\":{},\"snapshot\":{}}}",
             snap.epoch,
             service.registry().snapshot_json_shared()
-        ),
+        )),
         // Streaming is a connection-level mode, not a one-shot answer:
-        // `handle_conn` intercepts it before dispatch ever runs.
+        // `handle_conn` intercepts it before `respond` ever runs.
         // Reaching this arm means the caller invoked the pure in-process
         // path, where a push feed cannot exist.
         "watch" => err(
             "watch is streaming-only: hold the connection open and read one row per epoch crossing",
         ),
-        "shutdown" => return (json(&ShutdownResponse { ok: true, kind: "shutdown" }), true),
+        "shutdown" => {
+            return (Answer::Fresh(json(&ShutdownResponse { ok: true, kind: "shutdown" })), true)
+        }
         other => err(format!("unknown cmd {other:?}")),
     };
-    (resp, false)
+    (answer, false)
 }
 
 /// Wakeable latch the `shutdown` command trips.
@@ -433,19 +534,40 @@ fn stream_watch(
 fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
     // No Nagle: the short last segment of a long answer would otherwise
     // wait for the peer to ACK the ones before it. Every answer is one
-    // write (`write_line`), so this sends no extra small segments.
+    // write (`Answer::write_to`), so this sends no extra small segments.
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Never buffer more than the cap: a line that has not ended
+        // within it gets an error row, and the connection closes.
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            let _ =
+                err(format!("request line exceeds {MAX_LINE_BYTES} bytes")).write_to(&mut writer);
+            // Send FIN behind the row, so the client reads the row and
+            // then end of file.
+            let _ = writer.shutdown(Shutdown::Write);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
+        let request = serde_json::from_str(line);
         // `watch` flips the connection into push mode until the feed
         // ends; everything else stays strict request/response.
-        if let Ok(v) = serde_json::from_str(&line) {
+        if let Ok(v) = &request {
             if v.get("cmd").and_then(|c| c.as_str()) == Some("watch") {
                 let max = v.get("max").and_then(|m| m.as_u64());
                 if stream_watch(&mut writer, service, signal, max).is_err() {
@@ -454,8 +576,8 @@ fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
                 continue;
             }
         }
-        let (resp, shutdown) = dispatch(service, &line);
-        if write_line(&mut writer, resp).is_err() {
+        let (answer, shutdown) = respond(service, request);
+        if answer.write_to(&mut writer).is_err() {
             break;
         }
         if shutdown {
@@ -484,7 +606,7 @@ pub fn query_once(addr: SocketAddr, line: &str, timeout: Duration) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{PartitionSpec, ServeOptions};
+    use crate::service::{PartitionSpec, ServeOptions, WarmInput, WarmOutput, WarmRenderer};
     use st_obs::Registry;
     use st_speedtest::{Access, Measurement, Platform};
     use std::time::Instant;
@@ -521,6 +643,55 @@ mod tests {
         v.get(key).unwrap_or_else(|| panic!("response missing {key:?}"))
     }
 
+    /// A warm service over two cities and the wire partition, driven
+    /// through epoch 0, two warm crossings and the final epoch. `at`
+    /// runs at each with the epoch index the service must report.
+    fn at_every_epoch(mut at: impl FnMut(&Arc<ContextService>, u64)) {
+        let warm: WarmRenderer = Arc::new(|input: &WarmInput| {
+            let sealed: usize =
+                input.cities.iter().flat_map(|c| c.campaigns.iter()).map(|(_, r)| r.len()).sum();
+            WarmOutput {
+                headlines: vec![("sealed rows".into(), sealed.to_string())],
+                tables: vec![("rows".into(), format!("epoch {}: {sealed} rows", input.epoch))],
+            }
+        });
+        let s = Arc::new(ContextService::new(
+            vec![
+                PartitionSpec::city("City-A"),
+                PartitionSpec::city("City-B"),
+                PartitionSpec::wire(),
+            ],
+            ServeOptions { seal_rows: 8, epoch_rows: 10, warm: Some(warm) },
+            Registry::new(),
+        ));
+        at(&s, 0);
+        s.ingest_chunk("City-A", "ookla", (0..12).map(m).collect()).unwrap();
+        at(&s, 1);
+        let mut bad = m(99);
+        bad.down_mbps = f64::NAN;
+        s.ingest_chunk("wire", "sessions", (200..203).map(m).collect()).unwrap();
+        s.ingest_chunk("City-B", "mlab", (100..110).map(m).chain([bad]).collect()).unwrap();
+        at(&s, 2);
+        let out = s.drain().unwrap();
+        let headlines = vec![("final".into(), "22 rows".into())];
+        let tables = vec![("rows".into(), "final".into())];
+        s.publish_final(&out.sanitize, headlines, tables, Some("abc".into()), 3).unwrap();
+        at(&s, 3);
+    }
+
+    /// Request lines for every cached verb, every partition of `snap`
+    /// and an unknown city.
+    fn epoch_only_requests(snap: &EpochSnapshot) -> Vec<String> {
+        let mut lines: Vec<String> = ["headline", "quarantine", "epoch"]
+            .iter()
+            .map(|cmd| format!("{{\"cmd\":\"{cmd}\"}}"))
+            .collect();
+        for city in snap.cities.iter().map(|c| c.city.as_str()).chain(["Nowhere"]) {
+            lines.push(format!("{{\"cmd\":\"city\",\"city\":\"{city}\"}}"));
+        }
+        lines
+    }
+
     #[test]
     fn dispatch_answers_every_command_from_one_epoch() {
         let s = service();
@@ -555,6 +726,129 @@ mod tests {
         assert!(get(snap, "wall_clock").as_object().is_some());
         let rows = get(get(det, "counters"), "serve.rows{outcome=clean}");
         assert_eq!(rows.as_u64(), Some(12), "metrics carries the serve.* counters: {resp}");
+    }
+
+    #[test]
+    fn cached_answers_equal_a_fresh_serialization_at_every_epoch() {
+        at_every_epoch(|s, epoch| {
+            let snap = s.current_epoch();
+            assert_eq!((snap.epoch, snap.final_epoch), (epoch, epoch == 3));
+            // What each verb serialized per request before the cache.
+            let fresh = |line: &str| -> String {
+                let v: serde_json::Value = serde_json::from_str(line).unwrap();
+                match (get(&v, "cmd").as_str().unwrap(), v.get("city").and_then(|c| c.as_str())) {
+                    ("headline", _) => json(&HeadlineResponse {
+                        ok: true,
+                        kind: "headline",
+                        epoch: snap.epoch,
+                        final_epoch: snap.final_epoch,
+                        headlines: snap.headlines.clone(),
+                        tables: snap.tables.clone(),
+                    }),
+                    ("quarantine", _) => json(&QuarantineResponse {
+                        ok: true,
+                        kind: "quarantine",
+                        epoch: snap.epoch,
+                        rows_in: snap.rows_in,
+                        quarantined: snap.quarantined,
+                        sanitize: snap.sanitize.clone(),
+                    }),
+                    ("epoch", _) => {
+                        json(&EpochResponse { ok: true, kind: "epoch", snapshot: (*snap).clone() })
+                    }
+                    ("city", Some(name)) => match snap.cities.iter().find(|c| c.city == name) {
+                        Some(c) => json(&CityResponse {
+                            ok: true,
+                            kind: "city",
+                            epoch: snap.epoch,
+                            city: c.clone(),
+                        }),
+                        None => json(&ErrorResponse {
+                            ok: false,
+                            kind: "error",
+                            detail: format!("unknown city {name:?}"),
+                        }),
+                    },
+                    (cmd, _) => panic!("no fresh answer for {cmd}"),
+                }
+            };
+            // The first pass builds the epoch's answers, the second
+            // serves them from the cache.
+            for pass in 0..2 {
+                for line in epoch_only_requests(&snap) {
+                    let (answer, shutdown) = dispatch(s, &line);
+                    assert!(!shutdown);
+                    assert_eq!(answer, fresh(&line), "epoch {epoch}, pass {pass}: {line}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn keepalive_answers_equal_dispatch_and_carry_each_new_epoch() {
+        let t = Duration::from_secs(5);
+        let mut conn = None;
+        at_every_epoch(|s, epoch| {
+            // One connection, opened at epoch 0 and kept to the end.
+            let (_server, writer, reader) = conn.get_or_insert_with(|| {
+                let server = QueryServer::start(Arc::clone(s), "127.0.0.1:0").expect("bind");
+                let stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
+                stream.set_read_timeout(Some(t)).unwrap();
+                let writer = stream.try_clone().expect("clone");
+                (server, writer, BufReader::new(stream))
+            });
+            let mut lines = epoch_only_requests(&s.current_epoch());
+            lines.extend(
+                ["{\"cmd\":\"metrics\"}", "{\"cmd\":\"status\"}", "not json", "{\"cmd\":\"nope\"}"]
+                    .map(String::from),
+            );
+            for line in lines {
+                writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+                let mut answer = String::new();
+                reader.read_line(&mut answer).expect("an answer");
+                let answer = answer.strip_suffix('\n').expect("answers end in a newline");
+                let v: serde_json::Value = serde_json::from_str(answer).expect("answer parses");
+                if get(&v, "ok").as_bool() == Some(true) {
+                    let at = if line.contains("epoch") { get(&v, "snapshot") } else { &v };
+                    assert_eq!(get(at, "epoch").as_u64(), Some(epoch), "{line}: {answer}");
+                }
+                // status alone reads the clock (`uptime_s`).
+                if !line.contains("status") {
+                    assert_eq!(answer, dispatch(s, &line).0, "epoch {epoch}: {line}");
+                }
+            }
+        });
+        conn.expect("the connection was opened").0.stop();
+    }
+
+    #[test]
+    fn an_oversized_line_gets_an_error_row_then_end_of_file() {
+        let s = service();
+        let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
+        let t = Duration::from_secs(5);
+        let stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
+        stream.set_read_timeout(Some(t)).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        // 1 MiB and no newline. The server stops reading at the cap and
+        // closes, so this write may fail part way; only the answer
+        // matters.
+        let sender = thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'['; 1 << 20]);
+        });
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an error row within the timeout");
+        let v: serde_json::Value = serde_json::from_str(&line).expect("error row parses");
+        assert_eq!(get(&v, "ok").as_bool(), Some(false), "{line}");
+        let detail = get(&v, "detail").as_str().unwrap_or_default();
+        assert!(detail.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")), "{line}");
+        line.clear();
+        let n = reader.read_line(&mut line).expect("end of file within the timeout");
+        assert_eq!(n, 0, "the server closes after the error row: {line:?}");
+        sender.join().expect("sender");
+        let resp = query_once(server.addr(), "{\"cmd\":\"status\"}", t).expect("a new client");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        server.stop();
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!
 //! Ingest takes 1 then 2 then (on a crossing) 3, releasing each before
 //! the next; snapshot assembly re-takes partition locks one at a time.
-//! Queries touch only 3 (a read lock around an `Arc` clone), so
-//! readers never block writers and vice versa.
+//! Queries touch only 3 (a read lock around an `Arc` clone) and the
+//! query layer's answer cache, which no writer takes, so readers never
+//! block writers and vice versa.
 
 use crate::epoch::{epoch_index, CampaignSnapshot, CitySnapshot, EpochPublisher, EpochSnapshot};
+use crate::query::AnswerCache;
 use parking_lot::Mutex;
 use st_obs::Registry;
 use st_speedtest::{
@@ -234,6 +236,9 @@ pub struct ContextService {
     /// (the live partitions are empty once their stores are handed
     /// out).
     final_cities: Mutex<Option<Vec<CitySnapshot>>>,
+    /// The current epoch's serialized query answers, built by the first
+    /// reader of each snapshot (DESIGN.md §18).
+    answers: AnswerCache,
     seal_rows: usize,
     epoch_rows: u64,
     warm: Option<WarmRenderer>,
@@ -288,6 +293,7 @@ impl ContextService {
             publisher: EpochPublisher::new(EpochSnapshot::initial(skeleton)),
             drained: AtomicBool::new(false),
             final_cities: Mutex::new(None),
+            answers: AnswerCache::default(),
             seal_rows: opts.seal_rows,
             epoch_rows: opts.epoch_rows as u64,
             warm: opts.warm,
@@ -329,6 +335,11 @@ impl ContextService {
     /// The current epoch (an `Arc` bump; never blocks ingest).
     pub fn current_epoch(&self) -> Arc<EpochSnapshot> {
         self.publisher.current()
+    }
+
+    /// The query layer's per-epoch answer cache.
+    pub(crate) fn answer_cache(&self) -> &AnswerCache {
+        &self.answers
     }
 
     /// Subscribe to epoch publications: the current snapshot as a base

@@ -56,22 +56,27 @@ fn check_snapshot(v: &serde_json::Value) {
         );
     }
     for city in field(snap, "cities").as_array().expect("cities array") {
-        for c in field(city, "campaigns").as_array().expect("campaigns array") {
-            let rows = field(c, "accepted_rows").as_u64().expect("campaign accepted");
-            let sealed = field(c, "sealed_segments").as_u64().expect("sealed_segments");
-            let tail = field(c, "tail_rows").as_u64().expect("tail_rows");
-            let frozen = field(c, "frozen").as_bool().expect("frozen");
-            if frozen {
-                assert_eq!(tail, 0, "a frozen store has no tail");
-                assert!(sealed * SEAL_ROWS >= rows, "frozen store lost rows");
-            } else {
-                // Seal boundaries are a pure function of the accepted
-                // prefix: exactly floor(rows / R) segments, rows % R
-                // buffered in the tail. A snapshot that mixed the two
-                // reads would break the recurrence.
-                assert_eq!(sealed, rows / SEAL_ROWS, "sealed segments diverged at {rows} rows");
-                assert_eq!(tail, rows % SEAL_ROWS, "tail rows diverged at {rows} rows");
-            }
+        check_city(city);
+    }
+}
+
+/// The seal recurrences every campaign of one city must satisfy.
+fn check_city(city: &serde_json::Value) {
+    for c in field(city, "campaigns").as_array().expect("campaigns array") {
+        let rows = field(c, "accepted_rows").as_u64().expect("campaign accepted");
+        let sealed = field(c, "sealed_segments").as_u64().expect("sealed_segments");
+        let tail = field(c, "tail_rows").as_u64().expect("tail_rows");
+        let frozen = field(c, "frozen").as_bool().expect("frozen");
+        if frozen {
+            assert_eq!(tail, 0, "a frozen store has no tail");
+            assert!(sealed * SEAL_ROWS >= rows, "frozen store lost rows");
+        } else {
+            // Seal boundaries are a pure function of the accepted
+            // prefix: exactly floor(rows / R) segments, rows % R
+            // buffered in the tail. A snapshot that mixed the two
+            // reads would break the recurrence.
+            assert_eq!(sealed, rows / SEAL_ROWS, "sealed segments diverged at {rows} rows");
+            assert_eq!(tail, rows % SEAL_ROWS, "tail rows diverged at {rows} rows");
         }
     }
 }
@@ -108,9 +113,18 @@ fn concurrent_queries_never_observe_torn_state() {
             }));
         }
 
-        // Three query clients reading over real TCP the whole time. Each
-        // asks once before it first checks `done`, so it answers at
-        // least once however fast the writers finish.
+        // Three query clients reading over real TCP the whole time, each
+        // cycling through the verbs, the ones served from an epoch's
+        // cached answers among them. Each asks once before it first
+        // checks `done`, so it answers at least once however fast the
+        // writers finish.
+        let requests = [
+            r#"{"cmd":"epoch"}"#,
+            r#"{"cmd":"status"}"#,
+            r#"{"cmd":"headline"}"#,
+            r#"{"cmd":"city","city":"City-A"}"#,
+            r#"{"cmd":"city","city":"City-B"}"#,
+        ];
         let mut readers = Vec::new();
         for client in 0..3 {
             let done = &done;
@@ -118,25 +132,26 @@ fn concurrent_queries_never_observe_torn_state() {
                 let mut last_epoch = 0u64;
                 let mut i = 0u64;
                 loop {
-                    let line = if i.is_multiple_of(2) {
-                        "{\"cmd\":\"epoch\"}"
-                    } else {
-                        "{\"cmd\":\"status\"}"
-                    };
+                    let line = requests[(i as usize + client) % requests.len()];
                     let resp =
                         query_once(addr, line, Duration::from_secs(5)).expect("query round-trips");
                     let v: serde_json::Value = serde_json::from_str(&resp)
                         .unwrap_or_else(|e| panic!("client {client}: unparseable {resp:?}: {e}"));
                     assert_eq!(field(&v, "ok").as_bool(), Some(true), "{resp}");
-                    let epoch = if i.is_multiple_of(2) {
+                    let epoch = if v.get("snapshot").is_some() {
                         check_snapshot(&v);
                         field(field(&v, "snapshot"), "epoch").as_u64().unwrap()
                     } else {
+                        if let Some(city) = v.get("city") {
+                            check_city(city);
+                        }
                         field(&v, "epoch").as_u64().unwrap()
                     };
+                    // Monotone across all verbs: no cached answer is
+                    // older than an answer this client already read.
                     assert!(
                         epoch >= last_epoch,
-                        "client {client}: epoch went backwards ({last_epoch} -> {epoch})"
+                        "client {client}: epoch went backwards ({last_epoch} -> {epoch}) on {line}"
                     );
                     last_epoch = epoch;
                     i += 1;
